@@ -21,6 +21,10 @@
 # asserts the fp64 results are bit-identical while the fused run issues
 # strictly fewer kernel launches, and checks mixed precision recovers the
 # fp64 objective.
+# `make bench W=<workload>` runs one 25 s repo-benchmark pass of perfbench
+# (dense-paper, sparse-simplex, sparse-pdlp or serve-replay; host clock,
+# seed 1, untraced); plain `make bench` regenerates the evaluation tables.
+# `make bench-tests` runs the perfbench harness's own tests.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade); `make verify` is
@@ -32,7 +36,7 @@ PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 METRICS_BASELINE := benchmarks/baselines/metrics-smoke.json
 
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
-	obs-smoke fuse-smoke metrics-smoke gate gate-baseline bench bench-batch \
+	obs-smoke fuse-smoke metrics-smoke gate gate-baseline bench bench-tests bench-batch \
 	lint verify
 
 test:  ## tier-1: the full test suite
@@ -139,8 +143,15 @@ gate-baseline:  ## re-record the committed gate baseline (review the diff!)
 	$(PYTHONPATH_SRC) python -m repro metrics --format json \
 		--out /tmp/metrics-gate.json --write-baseline $(METRICS_BASELINE)
 
-bench:  ## regenerate every evaluation experiment's tables
+bench:  ## evaluation tables; with W=<workload>, one 25 s host-clock perfbench run
+ifdef W
+	python3 perfbench/run.py --workload $(W) --seed 1 --seconds 25 --trace 0
+else
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/ --benchmark-only -q
+endif
+
+bench-tests:  ## the perfbench harness's own tests (tiny instances)
+	python3 -m pytest perfbench/tests
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DeviceArrayError
+from repro.gpu.blas import rank1_update
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.perfmodel.ops import OpCost
@@ -532,7 +533,7 @@ def ger_column_major(
     alpha_t = a.dtype.type(alpha)
 
     def body() -> None:
-        a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
+        rank1_update(a.data, x.data, y.data, alpha_t)
 
     dev.launch(
         "kernel.tableau_ger",

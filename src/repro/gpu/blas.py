@@ -356,7 +356,7 @@ def ger(
     alpha_t = dtype.type(alpha)
 
     def body() -> None:
-        a.data[...] = a.data + alpha_t * np.outer(x.data, y.data)
+        rank1_update(a.data, x.data, y.data, alpha_t)
 
     cost = OpCost(
         flops=2 * m * n,
@@ -367,6 +367,38 @@ def ger(
     dev.launch(
         "blas.ger", body, cost, dtype=dtype, reads=(x, y, a), writes=(a,)
     )
+
+
+#: Elements in the scratch block of :func:`rank1_update` (256 KiB in fp64):
+#: large enough to amortise the per-block numpy calls, small enough to stay
+#: cache-resident instead of materialising m×n temporaries.
+RANK1_BLOCK_ELEMS = 1 << 15
+
+
+def rank1_update(
+    a: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float = 1.0
+) -> None:
+    """In place: ``a += alpha · x yᵀ`` on host arrays of one dtype.
+
+    The GER body shared by every rank-1 update (device GER, the tableau
+    elimination, the CPU explicit-inverse update).  Each element is
+    ``a_ij + (x_i·y_j)·alpha``, rounded exactly as
+    ``a + alpha * np.outer(x, y)`` rounds it, but computed row block by row
+    block through one scratch block of at most :data:`RANK1_BLOCK_ELEMS`
+    elements instead of two m×n temporaries.  ``alpha == 1`` skips the
+    scaling, which is exact.  ``x`` and ``y`` must not overlap ``a``: a
+    block already updated would feed later blocks.
+    """
+    m, n = a.shape
+    rows = max(1, min(m, RANK1_BLOCK_ELEMS // max(n, 1)))
+    scratch = np.empty((rows, n), dtype=a.dtype)
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        block = scratch[: r1 - r0]
+        np.multiply(x[r0:r1, None], y, out=block)
+        if alpha != 1.0:
+            block *= alpha
+        a[r0:r1] += block
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,9 @@ def to_standard_form(
         cols = coo.col.copy()
         vals = coo.val.copy()
     else:
-        rr, cc = np.nonzero(problem.a)
-        rows, cols, vals = rr.astype(np.int64), cc.astype(np.int64), problem.a[rr, cc].astype(np.float64)
+        flat = np.flatnonzero(problem.a)  # row-major, like np.nonzero
+        rows, cols = np.divmod(flat, n)
+        vals = problem.a.ravel()[flat]
 
     c_orig = problem.c.astype(np.float64).copy()
     if problem.maximize:
@@ -212,21 +213,19 @@ def to_standard_form(
     lower = problem.bounds.lower
     upper = problem.bounds.upper
 
-    # Dense per-column views are needed for the b adjustments of shifts and
-    # reflections; build them lazily from the triplets.
-    col_entries: list[list[int]] = [[] for _ in range(n)]
-    for k in range(cols.size):
-        col_entries[int(cols[k])].append(k)
-
     transforms: list[VariableTransform] = []
     new_cols_c: list[float] = []
     constant = 0.0
-    extra_rows: list[tuple[int, float]] = []  # (std col, upper bound) rows to add
-    col_upper: dict[int, float] = {}  # finite column bounds (bounded form)
+    bounded_cols: list[int] = []  # std cols with a finite range hi - lo ...
+    bounded_ub: list[float] = []  # ... and that range
     next_col = 0
     col_map = np.full(n, -1, dtype=np.int64)  # original col -> new col
     negate_col = np.zeros(n, dtype=bool)
-    split_cols: list[tuple[int, int]] = []  # (orig col, new negative col)
+    split_col = np.full(n, -1, dtype=np.int64)  # original col -> new negative col
+    # Shifts and reflections substitute x = lo + x' / x = hi - x' into every
+    # row: b -= A_j * offset.
+    b_offset = np.zeros(n)
+    adjusts_b = np.zeros(n, dtype=bool)
 
     for j in range(n):
         lo, hi = float(lower[j]), float(upper[j])
@@ -239,7 +238,7 @@ def to_standard_form(
             transforms.append(VariableTransform("split", cp, cn))
             new_cols_c.extend([c_orig[j], -c_orig[j]])
             col_map[j] = cp
-            split_cols.append((j, cn))
+            split_col[j] = cn
         elif not lo_finite:
             # x <= hi only: reflect x' = hi - x
             cp = next_col
@@ -249,9 +248,8 @@ def to_standard_form(
             constant += c_orig[j] * hi
             negate_col[j] = True
             col_map[j] = cp
-            # b -= A_j * hi  (x = hi - x' substituted into every row)
-            for k in col_entries[j]:
-                b[int(rows[k])] -= vals[k] * hi
+            b_offset[j] = hi
+            adjusts_b[j] = True
         else:
             # lo finite: shift x' = x - lo (lo may be 0 -> identity)
             cp = next_col
@@ -261,41 +259,42 @@ def to_standard_form(
             else:
                 transforms.append(VariableTransform("shift", cp, offset=lo))
                 constant += c_orig[j] * lo
-                for k in col_entries[j]:
-                    b[int(rows[k])] -= vals[k] * lo
+                b_offset[j] = lo
+                adjusts_b[j] = True
             new_cols_c.append(c_orig[j])
             col_map[j] = cp
             if hi_finite:
-                if range_bounds_as_rows:
-                    extra_rows.append((cp, hi - lo))
-                else:
-                    col_upper[cp] = hi - lo
+                bounded_cols.append(cp)
+                bounded_ub.append(hi - lo)
 
     # Rewrite the triplets into the new column space.
     new_rows = [rows]
     new_cols = [col_map[cols]]
-    new_vals = [np.where(negate_col[cols], -vals, vals)]
-    for j, cn in split_cols:
-        ks = col_entries[j]
-        if ks:
-            ks = np.asarray(ks, dtype=np.int64)
-            new_rows.append(rows[ks])
-            new_cols.append(np.full(len(ks), cn, dtype=np.int64))
-            new_vals.append(-vals[ks])
+    new_vals = [np.where(negate_col[cols], -vals, vals) if negate_col.any() else vals]
+    is_split = split_col >= 0
+    if adjusts_b.any() or is_split.any():
+        # Entries column by column, in entry order within a column.  The
+        # golden pivot sequences depend on b's exact bits, and
+        # np.subtract.at applies its updates in index order, so each b_i
+        # accumulates its shifts in column order.
+        by_col = np.argsort(cols, kind="stable")
+        ks = by_col[adjusts_b[cols[by_col]]]
+        np.subtract.at(b, rows[ks], vals[ks] * b_offset[cols[ks]])
+        ks = by_col[is_split[cols[by_col]]]
+        new_rows.append(rows[ks])
+        new_cols.append(split_col[cols[ks]])
+        new_vals.append(-vals[ks])
 
     # Append the upper-bound rows x'_cp <= ub.
     row_count = m
-    ub_rows: list[tuple[int, int, float]] = []
-    for cp, ub in extra_rows:
-        ub_rows.append((row_count, cp, 1.0))
-        b = np.append(b, ub)
-        senses.append(ConstraintSense.LE)
-        row_count += 1
-    if ub_rows:
-        r, cidx, v = zip(*ub_rows)
-        new_rows.append(np.asarray(r, dtype=np.int64))
-        new_cols.append(np.asarray(cidx, dtype=np.int64))
-        new_vals.append(np.asarray(v, dtype=np.float64))
+    if range_bounds_as_rows and bounded_cols:
+        k = len(bounded_cols)
+        new_rows.append(np.arange(m, m + k, dtype=np.int64))
+        new_cols.append(np.asarray(bounded_cols, dtype=np.int64))
+        new_vals.append(np.ones(k))
+        b = np.concatenate([b, np.asarray(bounded_ub, dtype=np.float64)])
+        senses.extend([ConstraintSense.LE] * k)
+        row_count += k
 
     rows = np.concatenate(new_rows) if new_rows else np.zeros(0, dtype=np.int64)
     cols = np.concatenate(new_cols) if new_cols else np.zeros(0, dtype=np.int64)
@@ -345,15 +344,17 @@ def to_standard_form(
     upper_vec: np.ndarray | None = None
     if not range_bounds_as_rows:
         upper_vec = np.full(n_total, np.inf)
-        for cp, ub in col_upper.items():
-            upper_vec[cp] = ub
+        upper_vec[bounded_cols] = bounded_ub
 
-    coo = CooMatrix((row_count, n_total), rows, cols, vals)
     a_std: "np.ndarray | CscMatrix"
     if problem.is_sparse:
-        a_std = coo.tocsc()
+        a_std = CooMatrix((row_count, n_total), rows, cols, vals).tocsc()
     else:
-        a_std = coo.to_dense()
+        # Every coordinate is unique (each column comes from one input
+        # column or is a fresh slack) and every value is nonzero, so plain
+        # assignment matches COO accumulation; absent entries stay +0.0.
+        a_std = np.zeros((row_count, n_total))
+        a_std[rows, cols] = vals
 
     return StandardFormLP(
         a=a_std,

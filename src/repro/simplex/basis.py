@@ -29,6 +29,7 @@ import abc
 import numpy as np
 
 from repro.errors import SingularBasisError
+from repro.gpu.blas import rank1_update
 from repro.perfmodel.cpu_model import CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 
@@ -129,7 +130,7 @@ class ExplicitInverseBasis(BasisRepresentation):
         row_p = self.binv[p, :].copy()
         eta_minus_ep = eta.copy()
         eta_minus_ep[p] -= 1.0
-        self.binv += np.outer(eta_minus_ep, row_p)
+        rank1_update(self.binv, eta_minus_ep, row_p)
         self.updates_since_refactor += 1
         m = self.m
         w = 8

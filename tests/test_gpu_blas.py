@@ -114,6 +114,58 @@ class TestLevel2:
         blas.ger(x, y, a, alpha=1.5)
         np.testing.assert_allclose(a.data, ah + 1.5 * np.outer(xh, yh), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0 / 3.0])
+    @pytest.mark.parametrize("shape", ["1x1", "1xn", "mx1", "straddle"])
+    def test_rank1_update_bit_identical_to_outer(self, dtype, alpha, shape):
+        n = 37
+        rows_per_block = blas.RANK1_BLOCK_ELEMS // n
+        m, n = {
+            "1x1": (1, 1),
+            "1xn": (1, n),
+            "mx1": (2 * blas.RANK1_BLOCK_ELEMS + 3, 1),
+            "straddle": (2 * rows_per_block + 1, n),
+        }[shape]
+        rng = np.random.default_rng(m * n)
+        ah = rng.normal(size=(m, n)).astype(dtype)
+        xh = rng.normal(size=m).astype(dtype)
+        yh = rng.normal(size=n).astype(dtype)
+        alpha_t = np.dtype(dtype).type(alpha)
+        expected = ah + alpha_t * np.outer(xh, yh)
+        a = ah.copy()
+        blas.rank1_update(a, xh, yh, alpha_t)
+        assert a.dtype == expected.dtype
+        assert a.tobytes() == expected.tobytes()
+
+    def test_ger_fp32_bit_identical_to_outer(self, device, rng):
+        ah, xh, yh = (rng.normal(size=s).astype(np.float32) for s in ((9, 5), 9, 5))
+        a, x, y = device.to_device(ah), dvec(device, xh, np.float32), dvec(device, yh, np.float32)
+        blas.ger(x, y, a, alpha=-1.0 / 3.0)
+        expected = ah + np.float32(-1.0 / 3.0) * np.outer(xh, yh)
+        assert a.data.tobytes() == expected.tobytes()
+
+    def test_fused_revised_solve_matches_outer_ger(self, monkeypatch):
+        """A fused gpu-revised solve replays the captured GER body; it must
+        give the same bytes as the two-temporary ``np.outer`` update."""
+        from repro.lp.generators import random_dense_lp
+        from repro.solve import solve
+
+        lp = random_dense_lp(24, 36, seed=4)
+        calls = []
+
+        def outer_update(a, x, y, alpha=1.0):
+            calls.append(a.shape)
+            a[...] = a + alpha * np.outer(x, y)
+
+        fast = solve(lp, method="gpu-revised", fusion=True)
+        monkeypatch.setattr(blas, "rank1_update", outer_update)
+        slow = solve(lp, method="gpu-revised", fusion=True)
+        assert calls, "the solve issued no GER"
+        assert fast.status == slow.status
+        assert float(fast.objective).hex() == float(slow.objective).hex()
+        assert fast.x.tobytes() == slow.x.tobytes()
+        assert fast.iterations == slow.iterations
+
     def test_mixed_dtype_rejected(self, device):
         a = device.zeros((3, 3), np.float32)
         x = device.zeros(3, np.float64)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp.problem import Bounds, ConstraintSense, LPProblem
-from repro.lp.standard_form import to_standard_form
-from repro.sparse import CscMatrix
+from repro.lp.standard_form import StandardFormLP, VariableTransform, to_standard_form
+from repro.sparse import CooMatrix, CscMatrix
 
 
 def feasible_point_roundtrip(lp, x_orig):
@@ -201,3 +201,287 @@ def test_standard_form_invariants(lp):
     direct = float(c_min @ x)
     via_std = float(std.c @ x_std) + std.constant
     assert direct == pytest.approx(via_std, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity against the loop implementation
+# ---------------------------------------------------------------------------
+#
+# ``reference_to_standard_form`` is the earlier implementation of
+# ``to_standard_form`` — a Python loop per nonzero for the b adjustments and
+# split columns, ``np.append`` per bounded column, and ``CooMatrix.to_dense``
+# for the dense output — frozen verbatim.  The vectorised version must match
+# it bit for bit: every solver's pivot sequence (and so the golden fixture)
+# starts from these arrays.
+
+
+def reference_to_standard_form(
+    problem: LPProblem, *, range_bounds_as_rows: bool = True
+) -> StandardFormLP:
+    """The loop implementation (one Python step per nonzero), frozen."""
+    m, n = problem.a.shape
+
+    # Work in triplet form so the same code serves dense and sparse inputs.
+    if problem.is_sparse:
+        coo = problem.a.tocoo() if hasattr(problem.a, "tocoo") else problem.a
+        rows = coo.row.copy()
+        cols = coo.col.copy()
+        vals = coo.val.copy()
+    else:
+        rr, cc = np.nonzero(problem.a)
+        rows, cols, vals = rr.astype(np.int64), cc.astype(np.int64), problem.a[rr, cc].astype(np.float64)
+
+    c_orig = problem.c.astype(np.float64).copy()
+    if problem.maximize:
+        c_orig = -c_orig
+
+    b = problem.b.astype(np.float64).copy()
+    senses = list(problem.senses)
+    lower = problem.bounds.lower
+    upper = problem.bounds.upper
+
+    # Dense per-column views are needed for the b adjustments of shifts and
+    # reflections; build them lazily from the triplets.
+    col_entries: list[list[int]] = [[] for _ in range(n)]
+    for k in range(cols.size):
+        col_entries[int(cols[k])].append(k)
+
+    transforms: list[VariableTransform] = []
+    new_cols_c: list[float] = []
+    constant = 0.0
+    extra_rows: list[tuple[int, float]] = []  # (std col, upper bound) rows to add
+    col_upper: dict[int, float] = {}  # finite column bounds (bounded form)
+    next_col = 0
+    col_map = np.full(n, -1, dtype=np.int64)  # original col -> new col
+    negate_col = np.zeros(n, dtype=bool)
+    split_cols: list[tuple[int, int]] = []  # (orig col, new negative col)
+
+    for j in range(n):
+        lo, hi = float(lower[j]), float(upper[j])
+        lo_finite, hi_finite = np.isfinite(lo), np.isfinite(hi)
+        if not lo_finite and not hi_finite:
+            # free variable: split
+            cp = next_col
+            cn = next_col + 1
+            next_col += 2
+            transforms.append(VariableTransform("split", cp, cn))
+            new_cols_c.extend([c_orig[j], -c_orig[j]])
+            col_map[j] = cp
+            split_cols.append((j, cn))
+        elif not lo_finite:
+            # x <= hi only: reflect x' = hi - x
+            cp = next_col
+            next_col += 1
+            transforms.append(VariableTransform("reflect", cp, offset=hi))
+            new_cols_c.append(-c_orig[j])
+            constant += c_orig[j] * hi
+            negate_col[j] = True
+            col_map[j] = cp
+            # b -= A_j * hi  (x = hi - x' substituted into every row)
+            for k in col_entries[j]:
+                b[int(rows[k])] -= vals[k] * hi
+        else:
+            # lo finite: shift x' = x - lo (lo may be 0 -> identity)
+            cp = next_col
+            next_col += 1
+            if lo == 0.0:
+                transforms.append(VariableTransform("identity", cp))
+            else:
+                transforms.append(VariableTransform("shift", cp, offset=lo))
+                constant += c_orig[j] * lo
+                for k in col_entries[j]:
+                    b[int(rows[k])] -= vals[k] * lo
+            new_cols_c.append(c_orig[j])
+            col_map[j] = cp
+            if hi_finite:
+                if range_bounds_as_rows:
+                    extra_rows.append((cp, hi - lo))
+                else:
+                    col_upper[cp] = hi - lo
+
+    # Rewrite the triplets into the new column space.
+    new_rows = [rows]
+    new_cols = [col_map[cols]]
+    new_vals = [np.where(negate_col[cols], -vals, vals)]
+    for j, cn in split_cols:
+        ks = col_entries[j]
+        if ks:
+            ks = np.asarray(ks, dtype=np.int64)
+            new_rows.append(rows[ks])
+            new_cols.append(np.full(len(ks), cn, dtype=np.int64))
+            new_vals.append(-vals[ks])
+
+    # Append the upper-bound rows x'_cp <= ub.
+    row_count = m
+    ub_rows: list[tuple[int, int, float]] = []
+    for cp, ub in extra_rows:
+        ub_rows.append((row_count, cp, 1.0))
+        b = np.append(b, ub)
+        senses.append(ConstraintSense.LE)
+        row_count += 1
+    if ub_rows:
+        r, cidx, v = zip(*ub_rows)
+        new_rows.append(np.asarray(r, dtype=np.int64))
+        new_cols.append(np.asarray(cidx, dtype=np.int64))
+        new_vals.append(np.asarray(v, dtype=np.float64))
+
+    rows = np.concatenate(new_rows) if new_rows else np.zeros(0, dtype=np.int64)
+    cols = np.concatenate(new_cols) if new_cols else np.zeros(0, dtype=np.int64)
+    vals = np.concatenate(new_vals) if new_vals else np.zeros(0, dtype=np.float64)
+    n_structural = next_col
+
+    # Row provenance: original-constraint index for the first m rows,
+    # -1 for the synthesised upper-bound rows.
+    row_origin = np.concatenate(
+        [np.arange(m, dtype=np.int64), np.full(row_count - m, -1, dtype=np.int64)]
+    )
+
+    # Row-sign normalisation: b >= 0.
+    neg = b < 0.0
+    if neg.any():
+        flip = neg[rows]
+        vals = np.where(flip, -vals, vals)
+        b = np.where(neg, -b, b)
+        senses = [s.flipped() if neg[i] else s for i, s in enumerate(senses)]
+    row_flipped = neg.copy()
+
+    # Slack / surplus columns.
+    slack_of_row = np.full(row_count, -1, dtype=np.int64)
+    slack_rows: list[int] = []
+    slack_vals: list[float] = []
+    slack_cols: list[int] = []
+    col = n_structural
+    for i, sense in enumerate(senses):
+        if sense is ConstraintSense.EQ:
+            continue
+        coeff = 1.0 if sense is ConstraintSense.LE else -1.0
+        slack_rows.append(i)
+        slack_cols.append(col)
+        slack_vals.append(coeff)
+        if coeff > 0:
+            slack_of_row[i] = col
+        col += 1
+    n_total = col
+    if slack_rows:
+        rows = np.concatenate([rows, np.asarray(slack_rows, dtype=np.int64)])
+        cols = np.concatenate([cols, np.asarray(slack_cols, dtype=np.int64)])
+        vals = np.concatenate([vals, np.asarray(slack_vals, dtype=np.float64)])
+
+    c_std = np.concatenate([np.asarray(new_cols_c, dtype=np.float64),
+                            np.zeros(n_total - n_structural)])
+
+    upper_vec: np.ndarray | None = None
+    if not range_bounds_as_rows:
+        upper_vec = np.full(n_total, np.inf)
+        for cp, ub in col_upper.items():
+            upper_vec[cp] = ub
+
+    coo = CooMatrix((row_count, n_total), rows, cols, vals)
+    a_std: "np.ndarray | CscMatrix"
+    if problem.is_sparse:
+        a_std = coo.tocsc()
+    else:
+        a_std = coo.to_dense()
+
+    return StandardFormLP(
+        a=a_std,
+        b=b,
+        c=c_std,
+        constant=constant,
+        maximize=problem.maximize,
+        transforms=transforms,
+        slack_of_row=slack_of_row,
+        n_structural=n_structural,
+        row_origin=row_origin,
+        row_flipped=row_flipped,
+        upper=upper_vec,
+        source_name=problem.name,
+    )
+
+
+_BOUND_KINDS = ("nonneg", "shift", "boxed", "fixed", "upper_only", "free")
+#: Coefficients include values whose products round, and signed zeros.
+_VALUES = (1.0, -1.0, 0.1, -0.3, 2.5, 1e-3, -7.0, 1.0 / 3.0)
+_RHS = (0.0, -0.0, 1.0, -2.0, 0.7, -0.1, 3.0 / 7.0, -5.5)
+_OFFSETS = (0.0, -0.0, 0.5, -1.5, 0.1, 2.0, -1.0 / 3.0)
+
+
+@st.composite
+def hostile_lps(draw):
+    """LPs exercising every conversion branch, dense or sparse."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    for j in range(n):
+        kind = draw(st.sampled_from(_BOUND_KINDS))
+        off = draw(st.sampled_from(_OFFSETS))
+        width = draw(st.sampled_from((0.25, 1.0, 3.0)))
+        if kind == "shift":
+            lower[j] = off
+        elif kind == "boxed":
+            lower[j], upper[j] = off, off + width
+        elif kind == "fixed":
+            lower[j] = upper[j] = off
+        elif kind == "upper_only":
+            lower[j], upper[j] = -np.inf, off
+        elif kind == "free":
+            lower[j] = -np.inf
+    value = st.sampled_from(_VALUES)
+    if draw(st.booleans()):
+        a = np.array([[draw(value) if draw(st.booleans()) else 0.0
+                       for _ in range(n)] for _ in range(m)])
+    else:
+        # Sparse triplets with repeated coordinates: duplicates are summed,
+        # and a cancelling pair leaves an explicit zero entry.
+        k = draw(st.integers(0, 2 * m * n))
+        rows = [draw(st.integers(0, m - 1)) for _ in range(k)]
+        cols = [draw(st.integers(0, n - 1)) for _ in range(k)]
+        vals = [draw(value) for _ in range(k)]
+        if k and draw(st.booleans()):
+            rows += [rows[0], rows[0]]
+            cols += [cols[0], cols[0]]
+            vals += [vals[0], -vals[0]]
+        a = CooMatrix((m, n), rows, cols, vals)
+        if draw(st.booleans()):
+            a = a.tocsc()
+    return LPProblem(
+        c=[draw(value) for _ in range(n)],
+        a=a,
+        senses=[draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)],
+        b=[draw(st.sampled_from(_RHS)) for _ in range(m)],
+        bounds=Bounds(lower, upper),
+        maximize=draw(st.booleans()),
+    )
+
+
+def _matrix_bytes(a) -> tuple[bytes, ...]:
+    if isinstance(a, CscMatrix):
+        return (a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes())
+    return (a.dtype.str.encode(), str(a.shape).encode(), a.tobytes())
+
+
+def _transform_key(t):
+    return (t.kind, t.col, t.col2, float(t.offset).hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=hostile_lps(), range_rows=st.booleans())
+def test_matches_loop_implementation_bit_for_bit(lp, range_rows):
+    new = to_standard_form(lp, range_bounds_as_rows=range_rows)
+    ref = reference_to_standard_form(lp, range_bounds_as_rows=range_rows)
+    assert type(new.a) is type(ref.a)
+    assert _matrix_bytes(new.a) == _matrix_bytes(ref.a)
+    for name in ("b", "c", "slack_of_row", "row_origin", "row_flipped"):
+        got, want = getattr(new, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (new.upper is None) == (ref.upper is None)
+    if ref.upper is not None:
+        assert new.upper.tobytes() == ref.upper.tobytes()
+    assert float(new.constant).hex() == float(ref.constant).hex()
+    assert [_transform_key(t) for t in new.transforms] == [
+        _transform_key(t) for t in ref.transforms
+    ]
+    assert new.n_structural == ref.n_structural
+    assert new.maximize == ref.maximize
+
