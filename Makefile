@@ -27,9 +27,11 @@
 # `make bench-tests` runs the perfbench harness's own tests.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
-# metrics and spans only through the instrument façade); `make verify` is
+# metrics and spans only through the instrument façade; the shared PDHG
+# loop imports neither the device nor the cost model); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the sparse,
-# serve and obs smokes + the metrics regression gate.
+# serve, pdlp, obs and fuse smokes + the metrics regression gate + the
+# perfbench harness tests (the tracer imports backend modules by name).
 
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
@@ -45,7 +47,7 @@ test:  ## tier-1: the full test suite
 lint:  ## architecture lint: backend/serve import layering rules
 	python tools/lint_backend_imports.py
 
-verify: test lint sparse-smoke serve-smoke pdlp-smoke obs-smoke fuse-smoke gate  ## pre-commit: tests + lint + smokes + gate
+verify: test lint sparse-smoke serve-smoke pdlp-smoke obs-smoke fuse-smoke gate bench-tests  ## pre-commit: tests + lint + smokes + gate + harness tests
 
 test-batch:  ## fast smoke: batch subsystem tests only
 	$(PYTHONPATH_SRC) python -m pytest -x -q -k "batch"

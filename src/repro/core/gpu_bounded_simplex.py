@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import SolverBackend
+from repro.engine import DeviceBackend
 from repro.errors import SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -29,7 +29,7 @@ from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -45,7 +45,7 @@ from repro.status import SolveStatus
 BOUND_FLIP = -2
 
 
-class GpuBoundedRevisedSimplex(SolverBackend):
+class GpuBoundedRevisedSimplex(DeviceBackend):
     """Two-phase bounded-variable revised simplex on the simulated device."""
 
     name = "gpu-revised-bounded"
@@ -92,16 +92,8 @@ class GpuBoundedRevisedSimplex(SolverBackend):
         self.stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": prep.m,
-                "n": prep.n_total,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-            },
+        self.arm_clock(
+            m=prep.m, n=prep.n_total, pricing=opts.pricing, dtype=dtype.name
         )
         self.needs_phase1 = needs_phase1
         self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
@@ -299,27 +291,9 @@ class GpuBoundedRevisedSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
     def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
-        result.extra["device"] = dev.params.name
+        super().standard_extras(result)
         result.extra["bound_flips"] = self._st.flips
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
 
     def extract(self, result: SolveResult) -> None:
         st = self._st
@@ -339,14 +313,6 @@ class GpuBoundedRevisedSimplex(SolverBackend):
         result.extra["basis"] = st.basis.copy()
         result.extra["x_std"] = x_std
         result.extra["at_upper"] = st.at_upper.copy()
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _BState:

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core import gpu_kernels as K
 from repro.core.gpu_revised_simplex import _GpuPricing
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import DeviceBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -53,7 +53,7 @@ from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -68,7 +68,7 @@ from repro.simplex.sparse_basis import SparseLUBasis, basis_columns_csc
 from repro.status import SolveStatus
 
 
-class GpuSparseRevisedSimplex(SolverBackend):
+class GpuSparseRevisedSimplex(DeviceBackend):
     """Two-phase sparse revised simplex on the simulated SIMT device.
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -124,17 +124,8 @@ class GpuSparseRevisedSimplex(SolverBackend):
         self.stats = stats = IterationStats()
         basis, needs_phase1 = initial_basis(prep)
         st.init_basis(basis)
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-                "nnz": prep.nnz,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, dtype=dtype.name, nnz=prep.nnz
         )
 
         if warm_hint is not None:
@@ -346,49 +337,19 @@ class GpuSparseRevisedSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
     def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
+        super().standard_extras(result)
         st = self._st
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
         if st is not None:
             result.extra["a_nnz"] = st.prep.nnz
             result.extra["lu_nnz"] = st.lu.lu_nnz
             result.extra["eta_nnz"] = st.lu.eta_nnz
             result.extra["fill_ratio"] = st.lu.fill_ratio
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
 
     def extract(self, result: SolveResult) -> None:
         st = self._st
         beta_host = st.beta.copy_to_host().astype(np.float64)
         attach_standard_solution(result, self.prep, st.basis, beta_host)
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _SparseState:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gpu_kernels as K
-from repro.engine import SolverBackend, attach_standard_solution
+from repro.engine import DeviceBackend, attach_standard_solution
 from repro.errors import SolverError
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
@@ -29,7 +29,7 @@ from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -40,7 +40,7 @@ from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
 
-class GpuTableauSimplex(SolverBackend):
+class GpuTableauSimplex(DeviceBackend):
     """Two-phase full-tableau simplex on the simulated SIMT device."""
 
     name = "gpu-tableau"
@@ -93,17 +93,7 @@ class GpuTableauSimplex(SolverBackend):
         )
         st.init_basis(basis, enterable_limit=n)
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": dtype.name,
-                "device": dev.params.name,
-            },
-        )
+        self.arm_clock(m=m, n=n, pricing=opts.pricing, dtype=dtype.name)
         self.needs_phase1 = needs_phase1
         self.phase1_feas_tol = max(PHASE1_TOL, 50 * eps)
         return None
@@ -255,31 +245,6 @@ class GpuTableauSimplex(SolverBackend):
 
     # -- finish participation ------------------------------------------
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
-    def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
-
     def extract(self, result: SolveResult) -> None:
         st = self._st
         if self._policy.refine:
@@ -316,14 +281,6 @@ class GpuTableauSimplex(SolverBackend):
         result.extra["refinement_steps"] = steps
         result.extra["residual_after_refinement"] = residual
         return x64
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
 
 
 class _TableauState:

@@ -14,8 +14,11 @@ code match that shape.  It owns everything a solve has in common —
 - the **method table**: a declarative :class:`MethodSpec` registry with
   warm-start/device capability flags that ``repro.solve`` and
   ``repro.batch`` both dispatch from (:mod:`repro.engine.registry`);
+- the **modeled clock**: hooks arming, ``TimingStats`` assembly and the
+  device extras, once for CPU-modeled methods (:class:`HostBackend`) and
+  once for simulated-GPU methods (:class:`DeviceBackend`);
 
-while each of the seven methods is a thin
+while each of the eleven methods is a thin
 :class:`~repro.engine.backend.SolverBackend` implementing only its own
 numerics (state preparation, the per-phase pricing/ratio/pivot loop,
 solution read-back).  The refactor is behaviour-preserving by construction
@@ -27,7 +30,12 @@ fixture for all methods.
 trace records without importing :mod:`repro.trace` themselves.
 """
 
-from repro.engine.backend import SolverBackend, attach_standard_solution
+from repro.engine.backend import (
+    DeviceBackend,
+    HostBackend,
+    SolverBackend,
+    attach_standard_solution,
+)
 from repro.engine.hooks import SolveHooks
 from repro.engine.lifecycle import run_solve
 from repro.engine.registry import (
@@ -40,6 +48,8 @@ from repro.trace import rule_label
 
 __all__ = [
     "METHODS",
+    "DeviceBackend",
+    "HostBackend",
     "MethodSpec",
     "SolveHooks",
     "SolverBackend",

@@ -19,6 +19,13 @@ Lifecycle call order (see :func:`~repro.engine.lifecycle.run_solve`)::
     run_phase(2)
     timing(wall) / standard_extras / extract / finalize_timing
     cleanup()                        # always (finally)
+
+Every method runs on one of two modeled clocks, and the clock's half of
+the lifecycle lives here once: :class:`HostBackend` reads a CPU cost
+recorder, :class:`DeviceBackend` a simulated device.  Each supplies
+``arm_clock`` (the hooks' clock and section sources) and ``timing``; the
+device side also supplies the device/fusion ``standard_extras`` and the
+post-download ``finalize_timing`` resync.
 """
 
 from __future__ import annotations
@@ -37,11 +44,14 @@ if TYPE_CHECKING:  # avoids the repro.simplex package-import cycle
 class SolverBackend:
     """Base class for engine backends (one per solve method).
 
-    Subclasses must set the class attribute ``name`` and implement
-    :meth:`begin`, :meth:`run_phase`, :meth:`timing` and :meth:`extract`;
-    phase-1 capable backends also implement :meth:`phase1_objective` and
-    :meth:`drive_out_artificials`.  ``begin`` must populate ``self.prep``,
-    ``self.stats``, ``self.needs_phase1`` and ``self.phase1_feas_tol``.
+    Methods derive from :class:`HostBackend` or :class:`DeviceBackend`,
+    which provide :meth:`timing` (and, on the device, the device extras and
+    :meth:`finalize_timing`).  A method must still set the class attribute
+    ``name`` and implement :meth:`begin`, :meth:`run_phase` and
+    :meth:`extract`; phase-1 capable backends also implement
+    :meth:`phase1_objective` and :meth:`drive_out_artificials`.  ``begin``
+    must populate ``self.prep``, ``self.stats``, ``self.needs_phase1`` and
+    ``self.phase1_feas_tol``, and call ``arm_clock`` once.
     """
 
     name: str = "?"
@@ -96,7 +106,9 @@ class SolverBackend:
         raise NotImplementedError
 
     def standard_extras(self, result: SolveResult) -> None:
-        """Attach method-specific ``result.extra`` entries (optional)."""
+        """Attach method-specific ``result.extra`` entries (optional).  An
+        override on a :class:`DeviceBackend` calls
+        ``super().standard_extras(result)`` to keep the device extras."""
 
     def extract(self, result: SolveResult) -> None:
         """Populate x / objective / residuals / basis on OPTIMAL."""
@@ -107,6 +119,75 @@ class SolverBackend:
 
     def cleanup(self) -> None:
         """Release per-solve resources; runs on every exit path."""
+
+
+class HostBackend(SolverBackend):
+    """A method on the modeled CPU: its clock is ``self.recorder`` (a
+    :class:`~repro.perfmodel.cpu_model.CpuCostRecorder`)."""
+
+    def arm_clock(self, **meta) -> None:
+        """Arm the observer hooks on the recorder's clock and sections."""
+        self.hooks.arm(
+            clock=lambda: self.recorder.total_seconds,
+            sections=lambda: self.recorder.by_op,
+            meta=meta,
+        )
+
+    def timing(self, wall_seconds: float) -> TimingStats:
+        return TimingStats(
+            modeled_seconds=self.recorder.total_seconds,
+            wall_seconds=wall_seconds,
+            kernel_breakdown=dict(self.recorder.by_op),
+        )
+
+
+class DeviceBackend(SolverBackend):
+    """A method on the simulated GPU: its clock is ``self.dev`` (a
+    :class:`~repro.gpu.device.Device`), its launches go through
+    ``self.plan`` (a :class:`~repro.gpu.plan.LaunchPlan`)."""
+
+    def arm_clock(self, **meta) -> None:
+        """Arm the observer hooks on the device clock and sections."""
+        dev = self.dev
+        self.hooks.arm(
+            clock=lambda: dev.clock,
+            sections=lambda: dev.stats.sections,
+            meta={**meta, "device": dev.params.name},
+        )
+
+    def timing(self, wall_seconds: float) -> TimingStats:
+        stats = self.dev.stats
+        breakdown = dict(stats.sections)
+        breakdown["transfer"] = stats.transfer_seconds
+        return TimingStats(
+            modeled_seconds=self.dev.clock,
+            wall_seconds=wall_seconds,
+            transfer_seconds=stats.transfer_seconds,
+            kernel_breakdown=breakdown,
+        )
+
+    def standard_extras(self, result: SolveResult) -> None:
+        stats = self.dev.stats
+        result.extra["device"] = self.dev.params.name
+        result.extra["kernel_launches"] = stats.kernel_launches
+        result.extra["kernel_bytes"] = sum(
+            rec.bytes for rec in stats.by_kernel.values()
+        )
+        result.extra["by_kernel"] = stats.kernel_breakdown()
+        result.extra["peak_device_bytes"] = stats.peak_bytes_in_use
+        if self.options.fusion:
+            result.extra["fused_launches"] = self.plan.fused_launches
+            result.extra["fused_ops"] = self.plan.fused_ops
+            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
+        super().standard_extras(result)
+
+    def finalize_timing(self, result: SolveResult) -> None:
+        # the solution download in extract() advanced the clock; the
+        # reported machine time must include it
+        stats = self.dev.stats
+        result.timing.modeled_seconds = self.dev.clock
+        result.timing.transfer_seconds = stats.transfer_seconds
+        result.timing.kernel_breakdown["transfer"] = stats.transfer_seconds
 
 
 def attach_standard_solution(

@@ -1,10 +1,13 @@
 """First-order LP solvers: restarted, preconditioned PDHG (PDLP-style).
 
-The non-simplex wing of the engine.  ``repro.firstorder.cpu`` and
-``repro.firstorder.gpu`` provide the two backends registered as
-``"pdlp"`` and ``"gpu-pdlp"``; ``repro.firstorder.pdhg`` holds the shared
-restart/termination logic and ``repro.firstorder.rescale`` the diagonal
-preconditioning both backends iterate on.
+The non-simplex wing of the engine, written as one loop on two machines.
+``repro.firstorder.pdhg`` holds the method — :class:`~repro.firstorder.pdhg.PdhgSolver`,
+the single restart/ray/KKT loop, plus its controls and termination logic;
+``repro.firstorder.cpu`` (``"pdlp"``) runs it on a host executor of
+NumPy/CSC ops charged to the CPU cost model, and ``repro.firstorder.gpu``
+(``"gpu-pdlp"``) on a device executor of fused kernels inside launch-plan
+sections.  ``repro.firstorder.rescale`` holds the diagonal
+preconditioning both executors iterate on.
 """
 
 from repro.firstorder.cpu import PdlpSolver

@@ -12,8 +12,9 @@ with the chambolle-pock extrapolated update::
     ŷ⁺ = ŷ + σ(b̂ − Â(2x̂⁺ − x̂))
 
 Step sizes satisfy ``τσ‖Â‖² < 1`` (power-iteration estimate) split by the
-adaptive primal weight ω (τ = η/ω, σ = ηω).  Restarts, termination and
-status mapping are the shared logic of :mod:`repro.firstorder.pdhg`.
+adaptive primal weight ω (τ = η/ω, σ = ηω).  The loop — restarts,
+termination and status mapping — is :class:`~repro.firstorder.pdhg.PdhgSolver`;
+this module is its host executor.
 
 Numerics are float64 (like every CPU backend); ``options.dtype`` sets the
 arithmetic the *cost model* charges, mirroring the simplex solvers.  All
@@ -23,51 +24,24 @@ imports neither ``repro.trace`` nor ``repro.metrics`` (``make lint``).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from repro.engine import SolverBackend
-from repro.firstorder.pdhg import (
-    PdhgControls,
-    RestartController,
-    attach_firstorder_solution,
-    infeasibility_from_rays,
-    relative_kkt,
-    update_primal_weight,
-)
-from repro.firstorder.rescale import RescaledLP, power_iteration_norm, ruiz_rescale
-from repro.lp.problem import LPProblem
-from repro.lp.standard_form import StandardFormLP
+from repro.engine import HostBackend
+from repro.firstorder.pdhg import PdhgSolver
+from repro.firstorder.rescale import RescaledLP, power_iteration_norm
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
-from repro.simplex.common import PreparedLP, prepare
 from repro.simplex.options import SolverOptions
-from repro.sparse.csc import CscMatrix
-from repro.status import SolveStatus
 
 #: 4-byte column/row ids, matching the GPU sparse kernels' accounting.
 _INDEX_BYTES = 4
 
 
-def _as_csc_prep(prep: PreparedLP) -> PreparedLP:
-    """PDHG iterates on CSC regardless of the input representation."""
-    if prep.is_sparse:
-        if isinstance(prep.a, CscMatrix):
-            return prep
-        return dataclasses.replace(prep, a=prep.a.tocsc())
-    return dataclasses.replace(
-        prep, a=CscMatrix.from_dense(np.asarray(prep.a, dtype=np.float64))
-    )
-
-
-class PdlpSolver(SolverBackend):
+class PdlpSolver(HostBackend, PdhgSolver):
     """CPU PDLP: restarted preconditioned PDHG over NumPy/CSC data."""
 
     name = "pdlp-cpu"
-    accepts_warm_start = False
 
     def __init__(
         self,
@@ -79,48 +53,41 @@ class PdlpSolver(SolverBackend):
             CpuCostModel(cpu_params), dtype=self.options.dtype
         )
 
-    # -- engine backend interface --------------------------------------
-
-    def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
+    def start(self, meta: dict) -> None:
         self.recorder.reset()
-        opts = self.options
-        self.prep = prep = _as_csc_prep(prepare(problem, opts))
-        m, n = prep.m, prep.n_total
-        self._controls = PdhgControls.from_options(opts, m, n)
-        self._spmv_count = 0
-        self._rescaled: RescaledLP = ruiz_rescale(prep.a, prep.b, prep.c)
-        self._norm_a = power_iteration_norm(self._rescaled.a)
+        dtype = np.dtype(self.options.dtype)
+        self.ex = _HostPdhg(self._rescaled, self.recorder, dtype)
+        self.arm_clock(**meta, dtype=dtype.name)
+
+
+class _HostPdhg:
+    """Host PDHG executor: NumPy/CSC vectors, each op charged to the CPU
+    cost model."""
+
+    def __init__(self, sc: RescaledLP, recorder: CpuCostRecorder, dtype):
+        self.sc = sc
+        self.recorder = recorder
+        self.w = dtype.itemsize
+        self.m, self.n = m, n = sc.a.shape
+        self.spmv_count = 0
+        self.norm_a = power_iteration_norm(sc.a)
         # the power iteration is real SpMV work: charge its cost
         for _ in range(24):
             self._charge_spmv("spmv")
             self._charge_spmv("spmv_t")
-        self.stats = IterationStats()
-        self.needs_phase1 = False
-        self._x_hat = np.zeros(n)
-        self._y_hat = np.zeros(m)
-        self._final_kkt = None
-        self._spmv_count = 0
-        self._restarts = 0
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": "pdhg",
-                "dtype": np.dtype(opts.dtype).name,
-                "nnz": prep.nnz,
-                "tol_kkt": self._controls.tol,
-            },
-        )
-        return None
+        self.x = np.zeros(n)
+        self.y = np.zeros(m)
+        self.x_sum = np.zeros(n)
+        self.y_sum = np.zeros(m)
+        self.x_rst = self.x.copy()
+        self.y_rst = self.y.copy()
 
     # -- cost charging --------------------------------------------------
 
     def _charge_spmv(self, name: str) -> None:
-        a = self._rescaled.a
+        a = self.sc.a
         m, n = a.shape
-        w = np.dtype(self.options.dtype).itemsize
+        w = self.w
         out_len = m if name == "spmv" else n
         self.recorder.charge(
             name,
@@ -134,10 +101,10 @@ class PdlpSolver(SolverBackend):
                 coalesced_fraction=0.5,
             ),
         )
-        self._spmv_count += 1
+        self.spmv_count += 1
 
     def _charge_vector(self, name: str, length: int, flops_per: int) -> None:
-        w = np.dtype(self.options.dtype).itemsize
+        w = self.w
         self.recorder.charge(
             name,
             OpCost(
@@ -149,11 +116,11 @@ class PdlpSolver(SolverBackend):
             ),
         )
 
-    # -- the PDHG loop ---------------------------------------------------
+    # -- executor operations ---------------------------------------------
 
-    def _evaluate(self, x_c: np.ndarray, y_c: np.ndarray):
-        """Score one candidate: unscaled relative KKT residuals."""
-        sc = self._rescaled
+    def _residuals(self, x_c: np.ndarray, y_c: np.ndarray):
+        """Raw unscaled residual norms and objectives of one candidate."""
+        sc = self.sc
         ax = sc.a.matvec(x_c)
         self._charge_spmv("spmv")
         aty = sc.a.rmatvec(y_c)
@@ -162,162 +129,63 @@ class PdlpSolver(SolverBackend):
         rd = float(np.linalg.norm(np.maximum(aty - sc.c, 0.0) * sc.inv_col_scale))
         pobj = float(sc.c @ x_c)
         dobj = float(sc.b @ y_c)
-        self._charge_vector("check", self.prep.m + self.prep.n_total, 4)
-        return relative_kkt(rp, rd, pobj, dobj, self._b_norm, self._c_norm)
+        self._charge_vector("check", self.m + self.n, 4)
+        return rp, rd, pobj, dobj
 
-    def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
-        prep, sc, ctl = self.prep, self._rescaled, self._controls
-        m, n = prep.m, prep.n_total
-        a, b, c = sc.a, sc.b, sc.c
-        self._b_norm = float(np.linalg.norm(prep.b))
-        self._c_norm = float(np.linalg.norm(prep.c))
+    def score_current(self):
+        return self._residuals(self.x, self.y)
 
-        eta = ctl.step_safety / self._norm_a
-        omega = 1.0
-        x = np.zeros(n)
-        y = np.zeros(m)
-        x_sum = np.zeros(n)
-        y_sum = np.zeros(m)
-        x_rst = x.copy()
-        y_rst = y.copy()
-        k_since = 0
-        checks = 0
-        restart_ctl = RestartController(ctl)
-        best = self._evaluate(x, y)
-        self._accept(x, y, best)
-        status = SolveStatus.ITERATION_LIMIT
-        k = 0
+    def step(self, tau: float, sigma: float) -> None:
+        a, m, n = self.sc.a, self.m, self.n
+        aty = a.rmatvec(self.y)
+        self._charge_spmv("spmv_t")
+        x = self.x
+        x_new = np.maximum(0.0, x - tau * (self.sc.c - aty))
+        x_ext = 2.0 * x_new - x
+        self.x = x_new
+        self._charge_vector("primal_update", n, 5)
+        ax = a.matvec(x_ext)
+        self._charge_spmv("spmv")
+        self.y = self.y + sigma * (self.sc.b - ax)
+        self._charge_vector("dual_update", m, 4)
+        self.x_sum += self.x
+        self.y_sum += self.y
+        self._charge_vector("average", m + n, 2)
 
-        for k in range(1, ctl.max_iterations + 1):
-            tau = eta / omega
-            sigma = eta * omega
-            aty = a.rmatvec(y)
-            self._charge_spmv("spmv_t")
-            x_new = np.maximum(0.0, x - tau * (c - aty))
-            x_ext = 2.0 * x_new - x
-            x = x_new
-            self._charge_vector("primal_update", n, 5)
-            ax = a.matvec(x_ext)
-            self._charge_spmv("spmv")
-            y = y + sigma * (b - ax)
-            self._charge_vector("dual_update", m, 4)
-            x_sum += x
-            y_sum += y
-            k_since += 1
-            self._charge_vector("average", m + n, 2)
+    def score_candidates(self, k_since: int):
+        inv_k = 1.0 / k_since
+        self.x_avg = self.x_sum * inv_k
+        self.y_avg = self.y_sum * inv_k
+        self._charge_vector("average", self.m + self.n, 1)
+        return self._residuals(self.x_avg, self.y_avg), self.score_current()
 
-            if k % ctl.check_every != 0 and k != ctl.max_iterations:
-                continue
-            checks += 1
-            inv_k = 1.0 / k_since
-            x_avg = x_sum * inv_k
-            y_avg = y_sum * inv_k
-            self._charge_vector("average", m + n, 1)
-            cand_avg = self._evaluate(x_avg, y_avg)
-            cand_cur = self._evaluate(x, y)
-            if cand_avg.score <= cand_cur.score:
-                cand, cx, cy = cand_avg, x_avg, y_avg
-            else:
-                cand, cx, cy = cand_cur, x, y
-            if cand.score < best.score:
-                best = cand
-                self._accept(cx, cy, cand)
+    def _candidate(self, avg: bool):
+        return (self.x_avg, self.y_avg) if avg else (self.x, self.y)
 
-            if cand.converged(ctl.tol):
-                status = SolveStatus.OPTIMAL
-                self._accept(cx, cy, cand)
-                self._record_restart(k, cand)
-                self.hooks.record(
-                    phase=2, iteration=k, event="optimal",
-                    objective=cand.primal_objective, theta=cand.score,
-                    pricing_rule="pdhg",
-                )
-                break
+    def accept(self, avg: bool) -> None:
+        x_c, y_c = self._candidate(avg)
+        self.x_hat = np.asarray(x_c, dtype=np.float64).copy()
+        self.y_hat = np.asarray(y_c, dtype=np.float64).copy()
 
-            if checks % ctl.ray_every == 0:
-                verdict = infeasibility_from_rays(
-                    prep.a,
-                    prep.b,
-                    prep.c,
-                    (cx - x_rst) * sc.col_scale,
-                    (cy - y_rst) * sc.row_scale,
-                )
-                if verdict is not None:
-                    status = verdict
-                    self._record_restart(k, cand)
-                    self.hooks.record(
-                        phase=2, iteration=k, event=str(verdict),
-                        objective=cand.primal_objective, theta=cand.score,
-                        pricing_rule="pdhg",
-                    )
-                    break
-
-            if restart_ctl.should_restart(cand.score, k_since):
-                dx = float(np.linalg.norm((cx - x_rst) * sc.col_scale))
-                dy = float(np.linalg.norm((cy - y_rst) * sc.row_scale))
-                omega = update_primal_weight(omega, dx, dy, ctl.weight_smoothing)
-                x = cx.copy()
-                y = cy.copy()
-                x_rst = cx.copy()
-                y_rst = cy.copy()
-                x_sum[:] = 0.0
-                y_sum[:] = 0.0
-                k_since = 0
-                restart_ctl.on_restart(cand.score)
-                self._charge_vector("restart", m + n, 1)
-                self._record_restart(k, cand)
-
-        self._restarts = restart_ctl.restarts
-        self._omega = omega
-        if status is SolveStatus.ITERATION_LIMIT:
-            # keep the best candidate visible in the trace even without a
-            # terminal verdict (matches the simplex solvers, which emit no
-            # record when the cap cuts a phase short)
-            self._record_restart(k, best)
-        return status, k
-
-    def _accept(self, x_c: np.ndarray, y_c: np.ndarray, kkt) -> None:
-        self._x_hat = np.asarray(x_c, dtype=np.float64).copy()
-        self._y_hat = np.asarray(y_c, dtype=np.float64).copy()
-        self._final_kkt = kkt
-
-    def _record_restart(self, k: int, kkt) -> None:
-        """One per-restart trace record (the first-order analogue of a
-        pivot; ``theta`` carries the candidate's relative KKT score)."""
-        self.hooks.record(
-            phase=2,
-            iteration=k,
-            event="restart",
-            objective=kkt.primal_objective,
-            theta=kkt.score,
-            pricing_rule="pdhg",
+    def rays(self, avg: bool):
+        cx, cy = self._candidate(avg)
+        return (
+            (cx - self.x_rst) * self.sc.col_scale,
+            (cy - self.y_rst) * self.sc.row_scale,
         )
 
-    # -- finish participation ------------------------------------------
+    def restart(self, avg: bool) -> tuple[float, float]:
+        cx, cy = self._candidate(avg)
+        dx = float(np.linalg.norm((cx - self.x_rst) * self.sc.col_scale))
+        dy = float(np.linalg.norm((cy - self.y_rst) * self.sc.row_scale))
+        self.x = cx.copy()
+        self.y = cy.copy()
+        self.x_rst = cx.copy()
+        self.y_rst = cy.copy()
+        self.x_sum[:] = 0.0
+        self.y_sum[:] = 0.0
+        self._charge_vector("restart", self.m + self.n, 1)
+        return dx, dy
 
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            transfer_seconds=0.0,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
-
-    def standard_extras(self, result: SolveResult) -> None:
-        result.extra["restarts"] = self._restarts
-        result.extra["spmv_count"] = self._spmv_count
-        result.extra["primal_weight"] = getattr(self, "_omega", 1.0)
-        result.extra["norm_estimate"] = self._norm_a
-        if self._final_kkt is not None:
-            result.extra["kkt_primal"] = self._final_kkt.primal
-            result.extra["kkt_dual"] = self._final_kkt.dual
-            result.extra["kkt_gap"] = self._final_kkt.gap
-            result.extra["kkt_score"] = self._final_kkt.score
-
-    def extract(self, result: SolveResult) -> None:
-        attach_firstorder_solution(
-            result, self.prep, self._rescaled, self._x_hat, self._y_hat
-        )
-
-    def cleanup(self) -> None:
-        pass
+    def solution(self):
+        return self.x_hat, self.y_hat

@@ -15,26 +15,19 @@ row-parallel SpMV in both directions.
 
 Setup (Ruiz/Pock–Chambolle rescaling) is host work; the power-iteration
 ``‖Â‖₂`` estimate runs on the device so its SpMV cost lands on the device
-clock.  Decision logic (restarts, primal weight, termination, Farkas
-rays) is shared with the CPU backend via :mod:`repro.firstorder.pdhg`.
+clock.  The loop itself (restarts, primal weight, termination, Farkas
+rays) is :class:`~repro.firstorder.pdhg.PdhgSolver`, shared with the CPU
+backend; this module is its device executor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend
+from repro.engine import DeviceBackend
 from repro.errors import SolverError
-from repro.firstorder.cpu import _as_csc_prep
-from repro.firstorder.pdhg import (
-    PdhgControls,
-    RestartController,
-    attach_firstorder_solution,
-    infeasibility_from_rays,
-    relative_kkt,
-    update_primal_weight,
-)
-from repro.firstorder.rescale import RescaledLP, ruiz_rescale
+from repro.firstorder.pdhg import PdhgSolver
+from repro.firstorder.rescale import RescaledLP
 from repro.gpu import blas
 from repro.gpu import plan as gpu_plan
 from repro.gpu.device import Device
@@ -45,15 +38,10 @@ from repro.gpu.sparse_kernels import (
     spmv_csc_t,
     spmv_csr,
 )
-from repro.lp.problem import LPProblem
-from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.gpu_model import GpuModelParams
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.result import IterationStats, SolveResult, TimingStats
-from repro.simplex.common import prepare
 from repro.simplex.options import SolverOptions
-from repro.status import SolveStatus
 
 
 def _primal_update_kernel(
@@ -159,11 +147,10 @@ def _scaled_residual_kernel(
     )
 
 
-class GpuPdlpSolver(SolverBackend):
+class GpuPdlpSolver(DeviceBackend, PdhgSolver):
     """GPU PDLP: device-CSC/CSR restarted PDHG priced by the perf model."""
 
     name = "gpu-pdlp"
-    accepts_warm_start = False
 
     def __init__(
         self,
@@ -174,304 +161,47 @@ class GpuPdlpSolver(SolverBackend):
         self.options = options or SolverOptions()
         self._external_device = device
         self._gpu_params = gpu_params
-        self._st: "_PdhgState | None" = None
         #: The device of the last solve (statistics inspection).
         self.device: Device | None = device
 
-    # -- engine backend interface --------------------------------------
-
-    def begin(self, problem: "LPProblem | StandardFormLP", warm_hint) -> None:
+    def start(self, meta: dict) -> None:
         opts = self.options
-        self.prep = prep = _as_csc_prep(prepare(problem, opts))
         dev = self._external_device or Device(self._gpu_params)
         self.device = self.dev = dev
         dev.reset_stats()
 
-        self._policy = policy = gpu_plan.PrecisionPolicy.from_options(opts)
+        policy = gpu_plan.PrecisionPolicy.from_options(opts)
         if policy.refine:
             raise SolverError("gpu-pdlp does not support mixed precision")
         dtype = policy.compute_dtype
         self.plan = gpu_plan.LaunchPlan(dev, fusion=opts.fusion, hooks=self.hooks)
-
-        m, n = prep.m, prep.n_total
-        self._controls = PdhgControls.from_options(opts, m, n)
-        self._rescaled: RescaledLP = ruiz_rescale(prep.a, prep.b, prep.c)
-        self._st = st = _PdhgState(self._rescaled, dev, dtype)
-        self.stats = IterationStats()
-        self.needs_phase1 = False
-        self._b_norm = float(np.linalg.norm(prep.b))
-        self._c_norm = float(np.linalg.norm(prep.c))
-        self._final_kkt = None
-        self._restarts = 0
-        self._omega = 1.0
-        self._spmv_count = 0
-        self.hooks.arm(
-            clock=lambda: dev.clock,
-            sections=lambda: dev.stats.sections,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": "pdhg",
-                "dtype": dtype.name,
-                "device": dev.params.name,
-                "nnz": prep.nnz,
-                "tol_kkt": self._controls.tol,
-            },
-        )
+        self.ex = ex = _DevicePdhg(self._rescaled, dev, dtype, self.plan)
+        self.arm_clock(**meta, dtype=dtype.name)
         with dev.timed_section("setup"):
-            self._norm_a = self._device_norm_estimate()
-        return None
-
-    def _device_norm_estimate(self, iters: int = 24) -> float:
-        """Power iteration on ÂᵀÂ with the device SpMV kernels (its SpMV
-        cost is real setup work and lands on the device clock)."""
-        st = self._st
-        n = st.a_csc.shape[1]
-        blas.fill(st.x_ext, 1.0 / np.sqrt(n))
-        sigma = 1.0
-        for _ in range(iters):
-            spmv_csr(st.a_csr, st.x_ext, st.ax)
-            spmv_csc_t(st.a_csc, st.ax, st.aty)
-            self._spmv_count += 2
-            nw = blas.nrm2(st.aty)
-            if nw <= 0.0:
-                break
-            blas.copy(st.aty, st.x_ext)
-            blas.scal(1.0 / nw, st.x_ext)
-            sigma = float(np.sqrt(nw))
-        blas.fill(st.x_ext, 0.0)
-        return max(sigma, 1e-30)
-
-    # -- candidate evaluation -------------------------------------------
-
-    def _evaluate(self, x_c: DeviceArray, y_c: DeviceArray):
-        """Unscaled relative KKT score of a device-resident candidate."""
-        st = self._st
-        with self.plan.section("check.primal"):
-            spmv_csr(st.a_csr, x_c, st.chk_m)
-            _scaled_residual_kernel(
-                st.dev, st.tmp_m, st.chk_m, st.b, st.inv_row,
-                positive_part=False, name="pdhg.residual_primal",
-            )
-        rp = blas.nrm2(st.tmp_m)
-        with self.plan.section("check.dual"):
-            spmv_csc_t(st.a_csc, y_c, st.chk_n)
-            _scaled_residual_kernel(
-                st.dev, st.tmp_n, st.chk_n, st.c, st.inv_col,
-                positive_part=True, name="pdhg.residual_dual",
-            )
-        rd = blas.nrm2(st.tmp_n)
-        self._spmv_count += 2
-        pobj = blas.dot(st.c, x_c)
-        dobj = blas.dot(st.b, y_c)
-        return relative_kkt(rp, rd, pobj, dobj, self._b_norm, self._c_norm)
-
-    def _displacement_norms(self, x_c, y_c) -> tuple[float, float]:
-        """Prep-space ‖Δx‖, ‖Δy‖ since the last restart point."""
-        st = self._st
-        blas.copy(x_c, st.tmp_n)
-        blas.axpy(-1.0, st.x_rst, st.tmp_n)
-        dx = st.tmp_n.copy_to_host().astype(np.float64) * self._rescaled.col_scale
-        blas.copy(y_c, st.tmp_m)
-        blas.axpy(-1.0, st.y_rst, st.tmp_m)
-        dy = st.tmp_m.copy_to_host().astype(np.float64) * self._rescaled.row_scale
-        return float(np.linalg.norm(dx)), float(np.linalg.norm(dy))
-
-    # -- the PDHG loop ---------------------------------------------------
-
-    def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
-        st, ctl = self._st, self._controls
-        dev = st.dev
-        eta = ctl.step_safety / self._norm_a
-        omega = 1.0
-        k_since = 0
-        checks = 0
-        restart_ctl = RestartController(ctl)
-        with dev.timed_section("check"):
-            best = self._evaluate(st.x, st.y)
-        self._accept(st.x, st.y, best)
-        status = SolveStatus.ITERATION_LIMIT
-        k = 0
-
-        for k in range(1, ctl.max_iterations + 1):
-            tau = eta / omega
-            sigma = eta * omega
-            with self.plan.section("primal", timed="spmv"):
-                with dev.timed_section("spmv"):
-                    spmv_csc_t(st.a_csc, st.y, st.aty)
-                with dev.timed_section("update"):
-                    _primal_update_kernel(
-                        dev, st.x, st.x_ext, st.x_sum, st.aty, st.c, tau
-                    )
-            with self.plan.section("dual", timed="spmv"):
-                with dev.timed_section("spmv"):
-                    spmv_csr(st.a_csr, st.x_ext, st.ax)
-                with dev.timed_section("update"):
-                    _dual_update_kernel(dev, st.y, st.y_sum, st.ax, st.b, sigma)
-            self._spmv_count += 2
-            k_since += 1
-
-            if k % ctl.check_every != 0 and k != ctl.max_iterations:
-                continue
-            checks += 1
-            with dev.timed_section("check"):
-                inv_k = 1.0 / k_since
-                blas.copy(st.x_sum, st.x_avg)
-                blas.scal(inv_k, st.x_avg)
-                blas.copy(st.y_sum, st.y_avg)
-                blas.scal(inv_k, st.y_avg)
-                cand_avg = self._evaluate(st.x_avg, st.y_avg)
-                cand_cur = self._evaluate(st.x, st.y)
-            if cand_avg.score <= cand_cur.score:
-                cand, cx, cy = cand_avg, st.x_avg, st.y_avg
-            else:
-                cand, cx, cy = cand_cur, st.x, st.y
-            if cand.score < best.score:
-                best = cand
-                self._accept(cx, cy, cand)
-
-            if cand.converged(ctl.tol):
-                status = SolveStatus.OPTIMAL
-                self._accept(cx, cy, cand)
-                self._record_restart(k, cand)
-                self.hooks.record(
-                    phase=2, iteration=k, event="optimal",
-                    objective=cand.primal_objective, theta=cand.score,
-                    pricing_rule="pdhg",
-                )
-                break
-
-            if checks % ctl.ray_every == 0:
-                # Farkas logic is host work on the downloaded rays (the
-                # two vector downloads are charged as DtoH transfers)
-                with dev.timed_section("transfer"):
-                    dx, dy = self._download_rays(cx, cy)
-                verdict = infeasibility_from_rays(
-                    self.prep.a, self.prep.b, self.prep.c, dx, dy
-                )
-                if verdict is not None:
-                    status = verdict
-                    self._record_restart(k, cand)
-                    self.hooks.record(
-                        phase=2, iteration=k, event=str(verdict),
-                        objective=cand.primal_objective, theta=cand.score,
-                        pricing_rule="pdhg",
-                    )
-                    break
-
-            if restart_ctl.should_restart(cand.score, k_since):
-                with dev.timed_section("restart"):
-                    dx_norm, dy_norm = self._displacement_norms(cx, cy)
-                    omega = update_primal_weight(
-                        omega, dx_norm, dy_norm, ctl.weight_smoothing
-                    )
-                    if cx is not st.x:
-                        blas.copy(cx, st.x)
-                        blas.copy(cy, st.y)
-                    blas.copy(st.x, st.x_rst)
-                    blas.copy(st.y, st.y_rst)
-                    blas.fill(st.x_sum, 0.0)
-                    blas.fill(st.y_sum, 0.0)
-                k_since = 0
-                restart_ctl.on_restart(cand.score)
-                self._record_restart(k, cand)
-
-        self._restarts = restart_ctl.restarts
-        self._omega = omega
-        if status is SolveStatus.ITERATION_LIMIT:
-            self._record_restart(k, best)
-        return status, k
-
-    def _download_rays(self, cx: DeviceArray, cy: DeviceArray):
-        sc = self._rescaled
-        st = self._st
-        blas.copy(cx, st.tmp_n)
-        blas.axpy(-1.0, st.x_rst, st.tmp_n)
-        blas.copy(cy, st.tmp_m)
-        blas.axpy(-1.0, st.y_rst, st.tmp_m)
-        dx = st.tmp_n.copy_to_host().astype(np.float64) * sc.col_scale
-        dy = st.tmp_m.copy_to_host().astype(np.float64) * sc.row_scale
-        return dx, dy
-
-    def _accept(self, x_c: DeviceArray, y_c: DeviceArray, kkt) -> None:
-        st = self._st
-        blas.copy(x_c, st.x_best)
-        blas.copy(y_c, st.y_best)
-        self._final_kkt = kkt
-
-    def _record_restart(self, k: int, kkt) -> None:
-        self.hooks.record(
-            phase=2,
-            iteration=k,
-            event="restart",
-            objective=kkt.primal_objective,
-            theta=kkt.score,
-            pricing_rule="pdhg",
-        )
-
-    # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        dev = self.dev
-        breakdown = dict(dev.stats.sections)
-        breakdown["transfer"] = dev.stats.transfer_seconds
-        return TimingStats(
-            modeled_seconds=dev.clock,
-            wall_seconds=wall_seconds,
-            transfer_seconds=dev.stats.transfer_seconds,
-            kernel_breakdown=breakdown,
-        )
-
-    def standard_extras(self, result: SolveResult) -> None:
-        dev = self.dev
-        result.extra["device"] = dev.params.name
-        result.extra["kernel_launches"] = dev.stats.kernel_launches
-        result.extra["kernel_bytes"] = sum(
-            rec.bytes for rec in dev.stats.by_kernel.values()
-        )
-        result.extra["by_kernel"] = dev.stats.kernel_breakdown()
-        result.extra["peak_device_bytes"] = dev.stats.peak_bytes_in_use
-        result.extra["restarts"] = self._restarts
-        result.extra["spmv_count"] = self._spmv_count
-        result.extra["primal_weight"] = self._omega
-        result.extra["norm_estimate"] = self._norm_a
-        if self._final_kkt is not None:
-            result.extra["kkt_primal"] = self._final_kkt.primal
-            result.extra["kkt_dual"] = self._final_kkt.dual
-            result.extra["kkt_gap"] = self._final_kkt.gap
-            result.extra["kkt_score"] = self._final_kkt.score
-        if self.options.fusion:
-            result.extra["fused_launches"] = self.plan.fused_launches
-            result.extra["fused_ops"] = self.plan.fused_ops
-            result.extra["fusion_saved_seconds"] = self.plan.saved_seconds
-
-    def extract(self, result: SolveResult) -> None:
-        st = self._st
-        x_hat = st.x_best.copy_to_host().astype(np.float64)
-        y_hat = st.y_best.copy_to_host().astype(np.float64)
-        attach_firstorder_solution(result, self.prep, self._rescaled, x_hat, y_hat)
-
-    def finalize_timing(self, result: SolveResult) -> None:
-        # the solution download in extract() advanced the clock; the
-        # reported machine time must include it
-        dev = self.dev
-        result.timing.modeled_seconds = dev.clock
-        result.timing.transfer_seconds = dev.stats.transfer_seconds
-        result.timing.kernel_breakdown["transfer"] = dev.stats.transfer_seconds
+            ex.norm_a = ex.norm_estimate()
 
     def cleanup(self) -> None:
-        if self._st is not None:
-            self._st.free()
-            self._st = None
+        if self.ex is not None:
+            self.ex.free()
+            self.ex = None
 
 
-class _PdhgState:
-    """Device-resident PDHG state: the matrix twice (CSC + CSR) and the
-    iterate/average/candidate vectors."""
+class _DevicePdhg:
+    """Device PDHG executor: the matrix twice (CSC + CSR) and the
+    iterate/average/candidate vectors, driven through the launch plan."""
 
-    def __init__(self, rescaled: RescaledLP, dev: Device, dtype: np.dtype):
+    def __init__(
+        self,
+        rescaled: RescaledLP,
+        dev: Device,
+        dtype: np.dtype,
+        plan: gpu_plan.LaunchPlan,
+    ):
+        self.sc = rescaled
         self.dev = dev
         self.dtype = dtype
+        self.plan = plan
+        self.spmv_count = 0
         m, n = rescaled.a.shape
         try:
             with dev.timed_section("transfer"):
@@ -516,3 +246,124 @@ class _PdhgState:
         for mat in (getattr(self, "a_csc", None), getattr(self, "a_csr", None)):
             if mat is not None:
                 mat.free()
+
+    # -- executor operations ---------------------------------------------
+
+    def norm_estimate(self, iters: int = 24) -> float:
+        """Power iteration on ÂᵀÂ with the device SpMV kernels (its SpMV
+        cost is real setup work and lands on the device clock)."""
+        n = self.a_csc.shape[1]
+        blas.fill(self.x_ext, 1.0 / np.sqrt(n))
+        sigma = 1.0
+        for _ in range(iters):
+            spmv_csr(self.a_csr, self.x_ext, self.ax)
+            spmv_csc_t(self.a_csc, self.ax, self.aty)
+            self.spmv_count += 2
+            nw = blas.nrm2(self.aty)
+            if nw <= 0.0:
+                break
+            blas.copy(self.aty, self.x_ext)
+            blas.scal(1.0 / nw, self.x_ext)
+            sigma = float(np.sqrt(nw))
+        blas.fill(self.x_ext, 0.0)
+        return max(sigma, 1e-30)
+
+    def _residuals(self, x_c: DeviceArray, y_c: DeviceArray):
+        """Raw unscaled residual norms and objectives of a device-resident
+        candidate."""
+        with self.plan.section("check.primal"):
+            spmv_csr(self.a_csr, x_c, self.chk_m)
+            _scaled_residual_kernel(
+                self.dev, self.tmp_m, self.chk_m, self.b, self.inv_row,
+                positive_part=False, name="pdhg.residual_primal",
+            )
+        rp = blas.nrm2(self.tmp_m)
+        with self.plan.section("check.dual"):
+            spmv_csc_t(self.a_csc, y_c, self.chk_n)
+            _scaled_residual_kernel(
+                self.dev, self.tmp_n, self.chk_n, self.c, self.inv_col,
+                positive_part=True, name="pdhg.residual_dual",
+            )
+        rd = blas.nrm2(self.tmp_n)
+        self.spmv_count += 2
+        pobj = blas.dot(self.c, x_c)
+        dobj = blas.dot(self.b, y_c)
+        return rp, rd, pobj, dobj
+
+    def score_current(self):
+        with self.dev.timed_section("check"):
+            return self._residuals(self.x, self.y)
+
+    def step(self, tau: float, sigma: float) -> None:
+        dev = self.dev
+        with self.plan.section("primal", timed="spmv"):
+            with dev.timed_section("spmv"):
+                spmv_csc_t(self.a_csc, self.y, self.aty)
+            with dev.timed_section("update"):
+                _primal_update_kernel(
+                    dev, self.x, self.x_ext, self.x_sum, self.aty, self.c, tau
+                )
+        with self.plan.section("dual", timed="spmv"):
+            with dev.timed_section("spmv"):
+                spmv_csr(self.a_csr, self.x_ext, self.ax)
+            with dev.timed_section("update"):
+                _dual_update_kernel(dev, self.y, self.y_sum, self.ax, self.b, sigma)
+        self.spmv_count += 2
+
+    def score_candidates(self, k_since: int):
+        with self.dev.timed_section("check"):
+            inv_k = 1.0 / k_since
+            blas.copy(self.x_sum, self.x_avg)
+            blas.scal(inv_k, self.x_avg)
+            blas.copy(self.y_sum, self.y_avg)
+            blas.scal(inv_k, self.y_avg)
+            return (
+                self._residuals(self.x_avg, self.y_avg),
+                self._residuals(self.x, self.y),
+            )
+
+    def _candidate(self, avg: bool):
+        return (self.x_avg, self.y_avg) if avg else (self.x, self.y)
+
+    def accept(self, avg: bool) -> None:
+        x_c, y_c = self._candidate(avg)
+        blas.copy(x_c, self.x_best)
+        blas.copy(y_c, self.y_best)
+
+    def rays(self, avg: bool):
+        # Farkas logic is host work on the downloaded rays (the two vector
+        # downloads are charged as DtoH transfers)
+        cx, cy = self._candidate(avg)
+        with self.dev.timed_section("transfer"):
+            blas.copy(cx, self.tmp_n)
+            blas.axpy(-1.0, self.x_rst, self.tmp_n)
+            blas.copy(cy, self.tmp_m)
+            blas.axpy(-1.0, self.y_rst, self.tmp_m)
+            dx = self.tmp_n.copy_to_host().astype(np.float64) * self.sc.col_scale
+            dy = self.tmp_m.copy_to_host().astype(np.float64) * self.sc.row_scale
+        return dx, dy
+
+    def restart(self, avg: bool) -> tuple[float, float]:
+        cx, cy = self._candidate(avg)
+        sc = self.sc
+        with self.dev.timed_section("restart"):
+            # prep-space ‖Δx‖, ‖Δy‖ since the last restart point
+            blas.copy(cx, self.tmp_n)
+            blas.axpy(-1.0, self.x_rst, self.tmp_n)
+            dx = self.tmp_n.copy_to_host().astype(np.float64) * sc.col_scale
+            blas.copy(cy, self.tmp_m)
+            blas.axpy(-1.0, self.y_rst, self.tmp_m)
+            dy = self.tmp_m.copy_to_host().astype(np.float64) * sc.row_scale
+            if avg:
+                blas.copy(self.x_avg, self.x)
+                blas.copy(self.y_avg, self.y)
+            blas.copy(self.x, self.x_rst)
+            blas.copy(self.y, self.y_rst)
+            blas.fill(self.x_sum, 0.0)
+            blas.fill(self.y_sum, 0.0)
+        return float(np.linalg.norm(dx)), float(np.linalg.norm(dy))
+
+    def solution(self):
+        x_hat = self.x_best.copy_to_host().astype(np.float64)
+        y_hat = self.y_best.copy_to_host().astype(np.float64)
+        return x_hat, y_hat

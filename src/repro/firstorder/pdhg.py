@@ -1,11 +1,15 @@
-"""Method-level logic shared by the CPU and GPU PDHG backends.
+"""The restarted-PDHG method, written once for the CPU and GPU backends.
 
 The two backends differ only in *where the vectors live* (NumPy arrays
 charged to the CPU cost model vs device arrays moved by kernels).  What
-they must never differ in is the *decision logic*: when to restart, how
-the primal weight evolves, when a candidate terminates, and how a
-scaled-space candidate is mapped back onto the :class:`~repro.result.SolveResult`
-surface.  That logic lives here, once.
+they must never differ in is the *decision logic*: when to check, which
+candidate to keep, when to restart, how the primal weight evolves, when a
+candidate terminates, and how a scaled-space candidate is mapped back onto
+the :class:`~repro.result.SolveResult` surface.  That logic lives here, in
+:class:`PdhgSolver`; the vector work behind it is an *executor* — the host
+one in :mod:`repro.firstorder.cpu`, the device one in
+:mod:`repro.firstorder.gpu`.  This module imports neither the device nor
+the cost model (``make lint`` enforces it).
 
 Termination follows PDLP's relative KKT criterion on the prepared
 (standard-form) data::
@@ -28,8 +32,12 @@ import math
 
 import numpy as np
 
-from repro.result import SolveResult
+from repro.engine import SolverBackend
+from repro.firstorder.rescale import RescaledLP, ruiz_rescale
+from repro.result import IterationStats, SolveResult
+from repro.simplex.common import PreparedLP, prepare
 from repro.simplex.options import SolverOptions
+from repro.sparse.csc import CscMatrix
 from repro.status import SolveStatus
 
 
@@ -202,3 +210,162 @@ def attach_firstorder_solution(
     result.extra["x_std"] = x_std
     result.extra["y_std"] = y_std
     result.extra["duals"] = prep.std.recover_duals(y_std)
+
+
+def _as_csc_prep(prep: PreparedLP) -> PreparedLP:
+    """PDHG iterates on CSC regardless of the input representation."""
+    if prep.is_sparse:
+        if isinstance(prep.a, CscMatrix):
+            return prep
+        return dataclasses.replace(prep, a=prep.a.tocsc())
+    return dataclasses.replace(
+        prep, a=CscMatrix.from_dense(np.asarray(prep.a, dtype=np.float64))
+    )
+
+
+class PdhgSolver(SolverBackend):
+    """Restarted PDHG over the rescaled standard form, run by an executor.
+
+    A subclass chooses the machine: it derives from
+    :class:`~repro.engine.backend.HostBackend` or
+    :class:`~repro.engine.backend.DeviceBackend` (the modeled clock) and
+    implements :meth:`start`, which builds the executor ``self.ex``.  The
+    executor owns the iterate, the running sums, the restart point, the
+    best candidate and the ``‖Â‖₂`` estimate, and does all the vector work:
+
+    - ``norm_a`` / ``spmv_count`` — the step-size norm and every SpMV the
+      solve has charged, the power iteration included;
+    - ``score_current()`` — raw ``(‖rp‖, ‖rd‖, cᵀx, bᵀy)`` of the iterate;
+    - ``step(tau, sigma)`` — one PDHG iteration, sums included;
+    - ``score_candidates(k)`` — average the last ``k`` iterates, then raw
+      scores of the average and of the current iterate;
+    - ``accept(avg)`` — keep the average (or the current iterate) as best;
+    - ``rays(avg)`` — host prep-space displacements since the restart point;
+    - ``restart(avg)`` — ``(‖Δx‖, ‖Δy‖)``, then restart from the candidate;
+    - ``solution()`` — host ``(x̂, ŷ)`` of the best candidate.
+    """
+
+    accepts_warm_start = False
+
+    #: The executor of the current solve (set by :meth:`start`).
+    ex = None
+
+    def start(self, meta: dict) -> None:
+        """Build ``self.ex`` on ``self._rescaled`` and arm the clock
+        (``self.arm_clock(**meta, dtype=...)``) at the executor's point."""
+        raise NotImplementedError
+
+    def begin(self, problem, warm_hint) -> None:
+        self.prep = prep = _as_csc_prep(prepare(problem, self.options))
+        m, n = prep.m, prep.n_total
+        self._controls = PdhgControls.from_options(self.options, m, n)
+        self._rescaled: RescaledLP = ruiz_rescale(prep.a, prep.b, prep.c)
+        self.stats = IterationStats()
+        self.needs_phase1 = False
+        self._b_norm = float(np.linalg.norm(prep.b))
+        self._c_norm = float(np.linalg.norm(prep.c))
+        self._final_kkt = None
+        self._restarts = 0
+        self._omega = 1.0
+        self.start(
+            {"m": m, "n": n, "pricing": "pdhg", "nnz": prep.nnz,
+             "tol_kkt": self._controls.tol}
+        )
+        return None
+
+    def _kkt(self, raw) -> KktScore:
+        return relative_kkt(*raw, self._b_norm, self._c_norm)
+
+    def _accept(self, avg: bool, kkt: KktScore) -> None:
+        self.ex.accept(avg)
+        self._final_kkt = kkt
+
+    def run_phase(self, phase: int) -> tuple[SolveStatus, int]:
+        ex, ctl = self.ex, self._controls
+        eta = ctl.step_safety / ex.norm_a
+        omega = 1.0
+        k_since = 0
+        checks = 0
+        restart_ctl = RestartController(ctl)
+        best = self._kkt(ex.score_current())
+        self._accept(False, best)
+        status = SolveStatus.ITERATION_LIMIT
+        k = 0
+
+        for k in range(1, ctl.max_iterations + 1):
+            ex.step(eta / omega, eta * omega)
+            k_since += 1
+
+            if k % ctl.check_every != 0 and k != ctl.max_iterations:
+                continue
+            checks += 1
+            raw_avg, raw_cur = ex.score_candidates(k_since)
+            cand_avg, cand_cur = self._kkt(raw_avg), self._kkt(raw_cur)
+            avg = cand_avg.score <= cand_cur.score
+            cand = cand_avg if avg else cand_cur
+            if cand.score < best.score:
+                best = cand
+                self._accept(avg, cand)
+
+            if cand.converged(ctl.tol):
+                status = SolveStatus.OPTIMAL
+                self._accept(avg, cand)
+                self._record(k, cand)
+                self._record(k, cand, "optimal")
+                break
+
+            if checks % ctl.ray_every == 0:
+                dx, dy = ex.rays(avg)
+                verdict = infeasibility_from_rays(
+                    self.prep.a, self.prep.b, self.prep.c, dx, dy
+                )
+                if verdict is not None:
+                    status = verdict
+                    self._record(k, cand)
+                    self._record(k, cand, str(verdict))
+                    break
+
+            if restart_ctl.should_restart(cand.score, k_since):
+                dx_norm, dy_norm = ex.restart(avg)
+                omega = update_primal_weight(
+                    omega, dx_norm, dy_norm, ctl.weight_smoothing
+                )
+                k_since = 0
+                restart_ctl.on_restart(cand.score)
+                self._record(k, cand)
+
+        self._restarts = restart_ctl.restarts
+        self._omega = omega
+        if status is SolveStatus.ITERATION_LIMIT:
+            # keep the best candidate visible in the trace even without a
+            # terminal verdict (matches the simplex solvers, which emit no
+            # record when the cap cuts a phase short)
+            self._record(k, best)
+        return status, k
+
+    def _record(self, k: int, kkt: KktScore, event: str = "restart") -> None:
+        """One trace record; a restart is the first-order analogue of a
+        pivot (``theta`` carries the candidate's relative KKT score)."""
+        self.hooks.record(
+            phase=2,
+            iteration=k,
+            event=event,
+            objective=kkt.primal_objective,
+            theta=kkt.score,
+            pricing_rule="pdhg",
+        )
+
+    def standard_extras(self, result: SolveResult) -> None:
+        result.extra["restarts"] = self._restarts
+        result.extra["spmv_count"] = self.ex.spmv_count
+        result.extra["primal_weight"] = self._omega
+        result.extra["norm_estimate"] = self.ex.norm_a
+        if self._final_kkt is not None:
+            result.extra["kkt_primal"] = self._final_kkt.primal
+            result.extra["kkt_dual"] = self._final_kkt.dual
+            result.extra["kkt_gap"] = self._final_kkt.gap
+            result.extra["kkt_score"] = self._final_kkt.score
+
+    def extract(self, result: SolveResult) -> None:
+        x_hat, y_hat = self.ex.solution()
+        attach_firstorder_solution(result, self.prep, self._rescaled, x_hat, y_hat)

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend
+from repro.engine import HostBackend
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     PHASE1_TOL,
@@ -59,7 +59,7 @@ from repro.status import SolveStatus
 BOUND_FLIP = -2
 
 
-class BoundedRevisedSimplexSolver(SolverBackend):
+class BoundedRevisedSimplexSolver(HostBackend):
     """CPU revised simplex with native upper-bound handling."""
 
     name = "revised-bounded"
@@ -100,15 +100,8 @@ class BoundedRevisedSimplexSolver(SolverBackend):
         at_upper = np.zeros(n, dtype=bool)  # all nonbasics start at lower
         x_b = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": np.dtype(opts.dtype).name,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, dtype=np.dtype(opts.dtype).name
         )
 
         self.st = _BoundedState(prep, basisrep, basis, in_basis, at_upper, x_b,
@@ -353,13 +346,6 @@ class BoundedRevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def standard_extras(self, result: SolveResult) -> None:
         result.extra["bound_flips"] = self.st.flips

@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution
+from repro.engine import HostBackend, attach_standard_solution
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     initial_basis,
@@ -56,7 +56,7 @@ from repro.simplex.options import SolverOptions
 from repro.status import SolveStatus
 
 
-class DualSimplexSolver(SolverBackend):
+class DualSimplexSolver(HostBackend):
     """CPU dual simplex for re-optimisation from a dual-feasible basis."""
 
     name = "dual-cpu"
@@ -109,15 +109,8 @@ class DualSimplexSolver(SolverBackend):
         self.in_basis = in_basis
         self.x_b = basisrep.ftran(prep.b)
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "dtype": np.dtype(opts.dtype).name,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, dtype=np.dtype(opts.dtype).name
         )
         self.needs_phase1 = False
         return None
@@ -295,13 +288,6 @@ class DualSimplexSolver(SolverBackend):
         return result
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         x_clip = np.clip(self.x_b, 0.0, None)

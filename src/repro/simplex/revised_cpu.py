@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.basis import make_basis
 from repro.simplex.common import (
     PHASE1_TOL,
@@ -48,7 +48,7 @@ from repro.simplex.ratio import run_ratio_test
 from repro.status import SolveStatus
 
 
-class RevisedSimplexSolver(SolverBackend):
+class RevisedSimplexSolver(HostBackend):
     """CPU revised simplex (dense or sparse standard-form data).
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -86,16 +86,9 @@ class RevisedSimplexSolver(SolverBackend):
         basis, needs_phase1 = initial_basis(prep)
         self.beta = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test,
+            dtype=np.dtype(opts.dtype).name
         )
         self._phase = 1
 
@@ -344,13 +337,6 @@ class RevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         attach_standard_solution(result, self.prep, self.basis, self.beta)

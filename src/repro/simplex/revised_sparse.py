@@ -30,14 +30,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.errors import SingularBasisError, SolverError
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -65,7 +65,7 @@ def _as_sparse_prep(prep: PreparedLP) -> PreparedLP:
     )
 
 
-class SparseRevisedSimplexSolver(SolverBackend):
+class SparseRevisedSimplexSolver(HostBackend):
     """CPU sparse revised simplex (CSC data, sparse LU basis, partial pricing).
 
     ``solve(problem, initial_basis_hint=...)`` warm-starts from a previous
@@ -105,17 +105,9 @@ class SparseRevisedSimplexSolver(SolverBackend):
         basis, needs_phase1 = initial_basis(prep)
         self.beta = prep.b.astype(np.float64).copy()
         self.stats = stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-                "nnz": prep.nnz,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test,
+            dtype=np.dtype(opts.dtype).name, nnz=prep.nnz
         )
         self._phase = 1
 
@@ -333,13 +325,6 @@ class SparseRevisedSimplexSolver(SolverBackend):
                 break
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def standard_extras(self, result: SolveResult) -> None:
         result.extra["a_nnz"] = self.prep.nnz

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import SolverBackend, attach_standard_solution, rule_label
+from repro.engine import HostBackend, attach_standard_solution, rule_label
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import CORE2_CPU_PARAMS, CpuModelParams
-from repro.result import IterationStats, SolveResult, TimingStats
+from repro.result import IterationStats, SolveResult
 from repro.simplex.common import (
     PHASE1_TOL,
     PreparedLP,
@@ -40,7 +40,7 @@ from repro.simplex.ratio import run_ratio_test
 from repro.status import SolveStatus
 
 
-class TableauSimplexSolver(SolverBackend):
+class TableauSimplexSolver(HostBackend):
     """CPU dense full-tableau simplex."""
 
     name = "tableau-cpu"
@@ -77,16 +77,9 @@ class TableauSimplexSolver(SolverBackend):
         self.in_basis = np.zeros(n_cols, dtype=bool)
         self.in_basis[basis] = True
         self.stats = IterationStats()
-        self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
-            meta={
-                "m": m,
-                "n": n,
-                "pricing": opts.pricing,
-                "ratio_test": opts.ratio_test,
-                "dtype": np.dtype(opts.dtype).name,
-            },
+        self.arm_clock(
+            m=m, n=n, pricing=opts.pricing, ratio_test=opts.ratio_test,
+            dtype=np.dtype(opts.dtype).name
         )
         artificial = np.zeros(n_cols, dtype=bool)
         artificial[n:] = True
@@ -261,13 +254,6 @@ class TableauSimplexSolver(SolverBackend):
             basis[p] = q
 
     # -- finish participation ------------------------------------------
-
-    def timing(self, wall_seconds: float) -> TimingStats:
-        return TimingStats(
-            modeled_seconds=self.recorder.total_seconds,
-            wall_seconds=wall_seconds,
-            kernel_breakdown=dict(self.recorder.by_op),
-        )
 
     def extract(self, result: SolveResult) -> None:
         # Artificial basics (redundant rows) sit at zero; they are

@@ -8,7 +8,8 @@ trace when tracing is on.  A backend that forgets to participate in a
 lifecycle step (``extract``, ``timing``, ``standard_extras``) shows up here
 as a field-population mismatch against its siblings.  The first-order
 (PDHG) methods are the one sanctioned difference: they have no basis, so
-their expected shape drops ``extra.basis`` and nothing else.
+their expected shape drops ``extra.basis`` and nothing else.  Every method
+that runs on the simulated device adds the same device extras.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import solve
+from repro.engine import device_methods
 from repro.lp.generators import random_dense_lp
 from repro.solve import available_methods
 from repro.status import SolveStatus
@@ -46,11 +48,17 @@ def _populated_fields(result) -> frozenset:
         fields.add("iterations")
     if result.timing is not None:
         fields.add("timing")
-    for key in ("basis", "x_std", "trace"):
+    for key in ("basis", "x_std", "trace", *DEVICE_EXTRAS):
         if key in result.extra:
             fields.add(f"extra.{key}")
     return frozenset(fields)
 
+
+#: The ``result.extra`` keys every device method reports.
+DEVICE_EXTRAS = (
+    "device", "kernel_launches", "kernel_bytes", "by_kernel",
+    "peak_device_bytes",
+)
 
 EXPECTED = frozenset(
     {
@@ -63,9 +71,15 @@ EXPECTED = frozenset(
 FIRSTORDER_METHODS = frozenset({"pdlp", "gpu-pdlp"})
 FIRSTORDER_EXPECTED = EXPECTED - {"extra.basis"}
 
+#: The device methods: their shape plus the device extras.
+DEVICE_EXPECTED = frozenset(f"extra.{key}" for key in DEVICE_EXTRAS)
+
 
 def _expected_for(method: str) -> frozenset:
-    return FIRSTORDER_EXPECTED if method in FIRSTORDER_METHODS else EXPECTED
+    shape = FIRSTORDER_EXPECTED if method in FIRSTORDER_METHODS else EXPECTED
+    if method in device_methods():
+        shape |= DEVICE_EXPECTED
+    return shape
 
 
 def test_all_methods_optimal(results):

@@ -10,6 +10,9 @@ first-order families along the F10 crossover.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,10 @@ from repro.lp.problem import Bounds, LPProblem
 from repro.simplex.options import SolverOptions
 from repro.solve import choose_method, solve
 from repro.status import SolveStatus
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+
+from gen_golden import suite as golden_suite  # noqa: E402
 
 FIRSTORDER = ("pdlp", "gpu-pdlp")
 
@@ -86,6 +93,20 @@ class TestConvergence:
         cpu = solve(lp, method="pdlp", dtype=np.float64)
         gpu = solve(lp, method="gpu-pdlp", dtype=np.float64)
         assert cpu.objective == pytest.approx(gpu.objective, rel=1e-6)
+
+    @pytest.mark.parametrize("lp", golden_suite(), ids=lambda lp: lp.name)
+    def test_host_and_device_run_the_same_loop(self, lp):
+        # one PDHG loop drives both executors: at float64 they take the
+        # same path and count every SpMV the solve charges, the 48 of the
+        # ‖Â‖ power iteration included
+        cpu = solve(lp, method="pdlp", dtype=np.float64)
+        gpu = solve(lp, method="gpu-pdlp", dtype=np.float64)
+        for key in ("spmv_count", "restarts"):
+            assert cpu.extra[key] == gpu.extra[key], key
+        assert (
+            cpu.iterations.phase2_iterations
+            == gpu.iterations.phase2_iterations
+        )
 
 
 class TestResultSurface:

@@ -183,3 +183,30 @@ def test_launch_rule_covers_every_gpu_backend():
     }
     for p in lint.GPU_BACKENDS:
         assert (lint.REPO / p).exists(), p
+
+
+def test_seam_rule_catches_machine_imports(tmp_path):
+    bad = tmp_path / "bad_loop.py"
+    bad.write_text(
+        textwrap.dedent(
+            """
+            from repro.engine import SolverBackend
+            from repro.gpu import blas
+            import repro.perfmodel.ops
+
+            def f():
+                from repro.gpu.device import Device
+                return Device
+            """
+        )
+    )
+    violations = lint.check_seam(bad)
+    assert len(violations) == 3
+    assert all("shared loop" in v for v in violations)
+
+
+def test_seam_rule_covers_the_pdhg_loop():
+    assert "src/repro/firstorder/pdhg.py" in lint.SEAM_MODULES
+    for p in lint.SEAM_MODULES:
+        assert (lint.REPO / p).exists(), p
+        assert lint.check_seam(lint.REPO / p) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: architectural import rules, enforced as CI failures.
 
-Two rules, one mechanism (an AST walk over the module trees):
+Four rules, one mechanism (an AST walk over the module trees):
 
 **Backend rule.**  Solver backend modules must not import ``repro.trace``,
 ``repro.metrics`` or ``repro.obs`` at all.  The engine's observer layer
@@ -32,6 +32,12 @@ couple the service to registry internals and dodge that gate.  Note that
 ``from repro.metrics import instrument`` also trips the rule: the module
 imported there is ``repro.metrics``.  Use
 ``from repro.metrics.instrument import <hook>``.
+
+**Seam rule.**  A method loop written once for both machines
+(``src/repro/firstorder/pdhg.py``, the one PDHG loop) drives a host or a
+device executor and may import neither ``repro.gpu`` nor
+``repro.perfmodel``: device kernels and cost-model charges belong to the
+executors in ``firstorder/gpu.py`` and ``firstorder/cpu.py``.
 
 Both ``import X`` and ``from X import ...`` forms are rejected, at any
 nesting depth (the AST walk sees function-local imports too).  Exit
@@ -68,14 +74,20 @@ GPU_BACKENDS = (
     "src/repro/firstorder/gpu.py",
 )
 
+#: Executor-neutral method loops and the machine layers they may not import.
+SEAM_MODULES = ("src/repro/firstorder/pdhg.py",)
+SEAM_FORBIDDEN = ("repro.gpu", "repro.perfmodel")
+
 #: The one metrics module serve code may import from.
 SERVE_ALLOWED = "repro.metrics.instrument"
 
 
+def _under(module: str, prefixes: tuple[str, ...]) -> bool:
+    return any(module == pfx or module.startswith(pfx + ".") for pfx in prefixes)
+
+
 def _is_forbidden(module: str) -> bool:
-    return any(
-        module == pfx or module.startswith(pfx + ".") for pfx in FORBIDDEN
-    )
+    return _under(module, FORBIDDEN)
 
 
 def _is_forbidden_for_serve(module: str) -> bool:
@@ -86,13 +98,29 @@ def _is_forbidden_for_serve(module: str) -> bool:
     return _is_forbidden(module)
 
 
+def _shown(path: Path):
+    try:
+        return path.relative_to(REPO)
+    except ValueError:
+        return path
+
+
+def _imports(path: Path):
+    """Yield ``(lineno, module, kind)`` for every absolute import in
+    ``path``; ``kind`` is ``"imports"`` or ``"imports from"``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, "imports"
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.level == 0:
+                yield node.lineno, node.module, "imports from"
+
+
 def check_file(path: Path, *, serve: bool = False) -> list[str]:
     """Return one violation message per forbidden import in ``path``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    try:
-        shown = path.relative_to(REPO)
-    except ValueError:
-        shown = path
+    shown = _shown(path)
     forbidden = _is_forbidden_for_serve if serve else _is_forbidden
     role = "serve module" if serve else "backend"
     hint = (
@@ -100,31 +128,29 @@ def check_file(path: Path, *, serve: bool = False) -> list[str]:
         if serve
         else "use the engine observer hooks instead"
     )
-    violations = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if forbidden(alias.name):
-                    violations.append(
-                        f"{shown}:{node.lineno}: "
-                        f"{role} imports {alias.name!r} ({hint})"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.level == 0 and forbidden(node.module):
-                violations.append(
-                    f"{shown}:{node.lineno}: "
-                    f"{role} imports from {node.module!r} ({hint})"
-                )
-    return violations
+    return [
+        f"{shown}:{lineno}: {role} {kind} {module!r} ({hint})"
+        for lineno, module, kind in _imports(path)
+        if forbidden(module)
+    ]
+
+
+def check_seam(path: Path) -> list[str]:
+    """Return one violation per ``repro.gpu`` / ``repro.perfmodel`` import
+    in an executor-neutral loop module."""
+    shown = _shown(path)
+    return [
+        f"{shown}:{lineno}: shared loop {kind} {module!r} (machine work "
+        "belongs to the host or device executor)"
+        for lineno, module, kind in _imports(path)
+        if _under(module, SEAM_FORBIDDEN)
+    ]
 
 
 def check_launches(path: Path) -> list[str]:
     """Return one violation per direct ``*.launch(...)`` call in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    try:
-        shown = path.relative_to(REPO)
-    except ValueError:
-        shown = path
+    shown = _shown(path)
     violations = []
     for node in ast.walk(tree):
         if (
@@ -150,6 +176,8 @@ def run() -> list[str]:
             violations.extend(check_file(path, serve=True))
     for filename in GPU_BACKENDS:
         violations.extend(check_launches(REPO / filename))
+    for filename in SEAM_MODULES:
+        violations.extend(check_seam(REPO / filename))
     return violations
 
 
