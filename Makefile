@@ -25,6 +25,10 @@
 # (dense-paper, sparse-simplex, sparse-pdlp or serve-replay; host clock,
 # seed 1, untraced); plain `make bench` regenerates the evaluation tables.
 # `make bench-tests` runs the perfbench harness's own tests.
+# `make bench-pairs W=<workload> PARENT=<rev> N=<pairs> SEED=<seed>` runs N
+# alternating parent/change perfbench passes (the parent via git archive)
+# and prints each side's median, quartiles and win count per end-to-end
+# metric plus both modeled digests.
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade; the shared PDHG
@@ -39,7 +43,7 @@ METRICS_BASELINE := benchmarks/baselines/metrics-smoke.json
 
 .PHONY: test test-batch trace-smoke sparse-smoke serve-smoke pdlp-smoke \
 	obs-smoke fuse-smoke metrics-smoke gate gate-baseline bench bench-tests bench-batch \
-	lint verify
+	bench-pairs lint verify
 
 test:  ## tier-1: the full test suite
 	$(PYTHONPATH_SRC) python -m pytest -x -q
@@ -154,6 +158,12 @@ endif
 
 bench-tests:  ## the perfbench harness's own tests (tiny instances)
 	python3 -m pytest perfbench/tests
+
+N ?= 10
+SEED ?= 1
+
+bench-pairs:  ## W=<workload> PARENT=<rev> [N=10] [SEED=1]: paired parent/change perfbench runs
+	python3 tools/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(N) --seed $(SEED)
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q

@@ -70,6 +70,9 @@ class _HostPdhg:
         self.w = dtype.itemsize
         self.m, self.n = m, n = sc.a.shape
         self.spmv_count = 0
+        # every op's cost depends only on the shape, so build each once
+        self._spmv_costs = {"spmv": self._spmv_cost(m), "spmv_t": self._spmv_cost(n)}
+        self._vector_costs: dict[tuple[int, int], OpCost] = {}
         self.norm_a = power_iteration_norm(sc.a)
         # the power iteration is real SpMV work: charge its cost
         for _ in range(24):
@@ -84,37 +87,35 @@ class _HostPdhg:
 
     # -- cost charging --------------------------------------------------
 
-    def _charge_spmv(self, name: str) -> None:
+    def _spmv_cost(self, out_len: int) -> OpCost:
         a = self.sc.a
-        m, n = a.shape
         w = self.w
-        out_len = m if name == "spmv" else n
-        self.recorder.charge(
-            name,
-            OpCost(
-                flops=2 * a.nnz,
-                bytes_read=a.nnz * (w + _INDEX_BYTES)
-                + (n + 1) * _INDEX_BYTES
-                + a.nnz * w,
-                bytes_written=out_len * w,
-                threads=max(1, out_len),
-                coalesced_fraction=0.5,
-            ),
+        return OpCost(
+            flops=2 * a.nnz,
+            bytes_read=a.nnz * (w + _INDEX_BYTES)
+            + (self.n + 1) * _INDEX_BYTES
+            + a.nnz * w,
+            bytes_written=out_len * w,
+            threads=max(1, out_len),
+            coalesced_fraction=0.5,
         )
+
+    def _charge_spmv(self, name: str) -> None:
+        self.recorder.charge(name, self._spmv_costs[name])
         self.spmv_count += 1
 
     def _charge_vector(self, name: str, length: int, flops_per: int) -> None:
-        w = self.w
-        self.recorder.charge(
-            name,
-            OpCost(
+        cost = self._vector_costs.get((length, flops_per))
+        if cost is None:
+            w = self.w
+            cost = self._vector_costs[length, flops_per] = OpCost(
                 flops=flops_per * length,
                 bytes_read=3 * length * w,
                 bytes_written=length * w,
                 threads=max(1, length),
                 coalesced_fraction=1.0,
-            ),
-        )
+            )
+        self.recorder.charge(name, cost)
 
     # -- executor operations ---------------------------------------------
 

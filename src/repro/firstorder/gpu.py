@@ -44,6 +44,26 @@ from repro.perfmodel.presets import GTX280_PARAMS
 from repro.simplex.options import SolverOptions
 
 
+def _primal_update_cost(n: int, w: int) -> OpCost:
+    return OpCost(
+        flops=8 * n,
+        bytes_read=4 * n * w,
+        bytes_written=3 * n * w,
+        threads=max(1, n),
+        coalesced_fraction=1.0,
+    )
+
+
+def _dual_update_cost(m: int, w: int) -> OpCost:
+    return OpCost(
+        flops=5 * m,
+        bytes_read=4 * m * w,
+        bytes_written=2 * m * w,
+        threads=max(1, m),
+        coalesced_fraction=1.0,
+    )
+
+
 def _primal_update_kernel(
     dev: Device,
     x: DeviceArray,
@@ -52,10 +72,12 @@ def _primal_update_kernel(
     aty: DeviceArray,
     c: DeviceArray,
     tau: float,
+    cost: OpCost,
 ) -> None:
-    """Fused: x ← [x − τ(c − Âᵀŷ)]₊;  x_ext ← 2x⁺ − x;  x_sum += x⁺."""
-    n = x.shape[0]
-    w = x.itemsize
+    """Fused: x ← [x − τ(c − Âᵀŷ)]₊;  x_ext ← 2x⁺ − x;  x_sum += x⁺.
+
+    ``cost`` is :func:`_primal_update_cost` of ``x``, built once per solve.
+    """
 
     def body() -> None:
         old = x.data.astype(np.float64)
@@ -66,13 +88,6 @@ def _primal_update_kernel(
         x_sum.data[:] = (x_sum.data.astype(np.float64) + new).astype(x_sum.dtype)
         x.data[:] = new.astype(x.dtype)
 
-    cost = OpCost(
-        flops=8 * n,
-        bytes_read=4 * n * w,
-        bytes_written=3 * n * w,
-        threads=max(1, n),
-        coalesced_fraction=1.0,
-    )
     gpu_plan.emit(
         dev, "pdhg.primal_update", body, cost, dtype=x.dtype,
         fusable=True, reads=(x, c, aty, x_sum), writes=(x, x_ext, x_sum),
@@ -86,10 +101,12 @@ def _dual_update_kernel(
     ax: DeviceArray,
     b: DeviceArray,
     sigma: float,
+    cost: OpCost,
 ) -> None:
-    """Fused: y ← y + σ(b̂ − Âx_ext);  y_sum += y⁺."""
-    m = y.shape[0]
-    w = y.itemsize
+    """Fused: y ← y + σ(b̂ − Âx_ext);  y_sum += y⁺.
+
+    ``cost`` is :func:`_dual_update_cost` of ``y``, built once per solve.
+    """
 
     def body() -> None:
         new = y.data.astype(np.float64) + sigma * (
@@ -98,13 +115,6 @@ def _dual_update_kernel(
         y_sum.data[:] = (y_sum.data.astype(np.float64) + new).astype(y_sum.dtype)
         y.data[:] = new.astype(y.dtype)
 
-    cost = OpCost(
-        flops=5 * m,
-        bytes_read=4 * m * w,
-        bytes_written=2 * m * w,
-        threads=max(1, m),
-        coalesced_fraction=1.0,
-    )
     gpu_plan.emit(
         dev, "pdhg.dual_update", body, cost, dtype=y.dtype,
         fusable=True, reads=(y, ax, b, y_sum), writes=(y, y_sum),
@@ -203,6 +213,9 @@ class _DevicePdhg:
         self.plan = plan
         self.spmv_count = 0
         m, n = rescaled.a.shape
+        w = np.dtype(dtype).itemsize
+        self.primal_cost = _primal_update_cost(n, w)
+        self.dual_cost = _dual_update_cost(m, w)
         try:
             with dev.timed_section("transfer"):
                 self.a_csc = DeviceCscMatrix(dev, rescaled.a, dtype)
@@ -301,13 +314,16 @@ class _DevicePdhg:
                 spmv_csc_t(self.a_csc, self.y, self.aty)
             with dev.timed_section("update"):
                 _primal_update_kernel(
-                    dev, self.x, self.x_ext, self.x_sum, self.aty, self.c, tau
+                    dev, self.x, self.x_ext, self.x_sum, self.aty, self.c, tau,
+                    self.primal_cost,
                 )
         with self.plan.section("dual", timed="spmv"):
             with dev.timed_section("spmv"):
                 spmv_csr(self.a_csr, self.x_ext, self.ax)
             with dev.timed_section("update"):
-                _dual_update_kernel(dev, self.y, self.y_sum, self.ax, self.b, sigma)
+                _dual_update_kernel(
+                    dev, self.y, self.y_sum, self.ax, self.b, sigma, self.dual_cost
+                )
         self.spmv_count += 2
 
     def score_candidates(self, k_since: int):

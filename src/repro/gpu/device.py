@@ -15,9 +15,8 @@ backing store, so results are exact while time is modeled.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +25,11 @@ from repro.gpu.kernel import DEFAULT_BLOCK, launch_config
 from repro.gpu.memory import DeviceArray
 from repro.metrics import instrument as _metrics
 from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import MEMO_CAP, OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
+
+#: The modeled hardware's 2D grid limit, in blocks.
+MAX_GRID = 65535 * 65535
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,7 +121,9 @@ class DeviceStats:
     def record_kernel(self, name: str, seconds: float, cost: OpCost) -> None:
         self.kernel_launches += 1
         self.kernel_seconds += seconds
-        rec = self.by_kernel.setdefault(name, KernelRecord())
+        rec = self.by_kernel.get(name)
+        if rec is None:
+            rec = self.by_kernel[name] = KernelRecord()
         rec.add(seconds, cost)
 
     def kernel_breakdown(self) -> dict[str, float]:
@@ -131,6 +135,26 @@ class DeviceStats:
         self.__init__()  # type: ignore[misc]
         self.bytes_in_use = live
         self.peak_bytes_in_use = live
+
+
+class TimedSection:
+    """Context manager behind :meth:`Device.timed_section`: on exit, normal
+    or by an exception, adds the device-clock delta of the block to
+    ``stats.sections[name]``."""
+
+    __slots__ = ("device", "name", "start")
+
+    def __init__(self, device: "Device", name: str):
+        self.device = device
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = self.device.clock
+
+    def __exit__(self, *exc) -> None:
+        dev = self.device
+        sections = dev.stats.sections
+        sections[self.name] = sections.get(self.name, 0.0) + (dev.clock - self.start)
 
 
 class Device:
@@ -167,6 +191,10 @@ class Device:
         #: set, :meth:`launch` records instead of executing; see
         #: :mod:`repro.gpu.plan`.
         self._capture: list[CapturedLaunch] | None = None
+        #: ``(threads, block)`` pairs that passed launch validation; only
+        #: successes are kept, so an invalid configuration raises on every
+        #: launch.  Bounded like the cost-model memo.
+        self._valid_launches: set[tuple[int, int]] = set()
 
     def record_timeline(self, enable: bool = True) -> None:
         """Start (or stop) recording every kernel launch and transfer as a
@@ -214,12 +242,11 @@ class Device:
         arr._check_live()
         arr.data.fill(value)
         seconds = self.model.dtod_time(arr.nbytes) / 2.0  # write-only traffic
-        self._advance(seconds)
+        self.clock += seconds
         cost = OpCost(bytes_written=arr.nbytes, threads=max(1, arr.size))
         self.stats.record_kernel("memset", seconds, cost)
         _metrics.record_kernel_launch(
-            "memset", seconds, cost,
-            self.model.fill_factor(cost.threads, DEFAULT_BLOCK),
+            "memset", seconds, cost, self.model, DEFAULT_BLOCK
         )
         if self.timeline is not None:
             self.timeline.append(
@@ -279,9 +306,9 @@ class Device:
         shared operands' global-memory traffic once.  All three are ignored
         outside a plan capture.
         """
-        cfg = launch_config(cost.threads, block, self.params)
-        if cfg.grid > 65535 * 65535:  # 2D grid limit of the modeled hardware
-            raise InvalidLaunchError(f"grid of {cfg.grid} blocks exceeds device limits")
+        shape = (cost.threads, block)
+        if shape not in self._valid_launches:
+            self._validate_launch(*shape)
         if self._capture is not None:
             operand_bytes = {
                 id(a): int(a.nbytes) for a in (*reads, *writes)
@@ -297,12 +324,10 @@ class Device:
             )
             return
         body()
-        seconds = self.model.kernel_time(cost, np.dtype(dtype), cfg.block)
-        self._advance(seconds)
+        seconds = self.model.kernel_time(cost, dtype, block)
+        self.clock += seconds
         self.stats.record_kernel(name, seconds, cost)
-        _metrics.record_kernel_launch(
-            name, seconds, cost, self.model.fill_factor(cost.threads, cfg.block)
-        )
+        _metrics.record_kernel_launch(name, seconds, cost, self.model, block)
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
@@ -311,6 +336,16 @@ class Device:
                     start=self.clock - seconds,
                 )
             )
+
+    def _validate_launch(self, threads: int, block: int) -> None:
+        """Check one launch configuration against the device limits and
+        remember it once it passes."""
+        cfg = launch_config(threads, block, self.params)
+        if cfg.grid > MAX_GRID:
+            raise InvalidLaunchError(f"grid of {cfg.grid} blocks exceeds device limits")
+        if len(self._valid_launches) >= MEMO_CAP:
+            self._valid_launches.clear()
+        self._valid_launches.add((threads, block))
 
     # ------------------------------------------------------------------
     # plan capture (driven by repro.gpu.plan)
@@ -353,7 +388,7 @@ class Device:
             else:
                 self.stats.dtoh_bytes += nbytes
         self.stats.transfer_seconds += seconds
-        self._advance(seconds)
+        self.clock += seconds
         _metrics.record_transfer(direction, nbytes, seconds)
         if self.timeline is not None:
             self.timeline.append(
@@ -368,26 +403,18 @@ class Device:
     # clock and sections
     # ------------------------------------------------------------------
 
-    def _advance(self, seconds: float) -> None:
-        self.clock += seconds
-
     def synchronize(self) -> float:
         """``cudaDeviceSynchronize``; returns the current device time."""
         return self.clock
 
-    @contextlib.contextmanager
-    def timed_section(self, name: str) -> Iterator[None]:
+    def timed_section(self, name: str) -> "TimedSection":
         """Accumulate the device time spent inside the block under ``name``.
 
         Used by the solver to attribute kernel time to algorithm phases
         (pricing / ftran / ratio-test / update) for the breakdown figure.
+        The time is accumulated even when the block raises.
         """
-        start = self.clock
-        try:
-            yield
-        finally:
-            delta = self.clock - start
-            self.stats.sections[name] = self.stats.sections.get(name, 0.0) + delta
+        return TimedSection(self, name)
 
     def reset_stats(self) -> None:
         """Zero the statistics, the clock and any recorded timeline;

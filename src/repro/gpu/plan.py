@@ -47,9 +47,8 @@ the planner.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -220,11 +219,11 @@ class LaunchPlan:
         self.fused_ops = 0
         self.saved_seconds = 0.0
 
-    @contextlib.contextmanager
     def section(
         self, name: str, *, timed: "str | None" = None
-    ) -> Iterator["_PlanSection"]:
-        """One named stretch of device work lowered as a unit.
+    ) -> "_PlanSection":
+        """One named stretch of device work lowered as a unit; use as
+        ``with plan.section(name) as sec``.
 
         ``timed`` attributes the fused lowering to a
         :meth:`Device.timed_section` bucket — for sections that span
@@ -232,19 +231,7 @@ class LaunchPlan:
         replay would otherwise run outside every bucket.  Sections opened
         *inside* a timed block don't need it.
         """
-        sec = _PlanSection(self, name, timed=timed)
-        if not self.fusion:
-            yield sec
-            return
-        self.device._begin_capture()
-        try:
-            yield sec
-        except BaseException:
-            if self.device._capture is not None:
-                self.device._end_capture()
-            raise
-        if self.device._capture is not None:  # no terminal reduction ran
-            self._lower(name, self.device._end_capture(), timed=timed)
+        return _PlanSection(self, name, timed=timed)
 
     # -- lowering ----------------------------------------------------------
 
@@ -307,12 +294,32 @@ class _PlanSection:
     the scalar DtoH exactly as the unfused reduction does.
     """
 
+    __slots__ = ("plan", "name", "timed")
+
     def __init__(
         self, plan: LaunchPlan, name: str, *, timed: "str | None" = None
     ):
         self.plan = plan
         self.name = name
         self.timed = timed
+
+    # With fusion off a section is a pass-through: entering and leaving it
+    # touch nothing.  With fusion on, entering starts the device capture
+    # and a normal exit lowers whatever the terminal reduction (if any)
+    # left captured; an exception discards the capture.
+
+    def __enter__(self) -> "_PlanSection":
+        if self.plan.fusion:
+            self.plan.device._begin_capture()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        plan = self.plan
+        if not plan.fusion or plan.device._capture is None:
+            return
+        captured = plan.device._end_capture()
+        if exc_type is None:
+            plan._lower(self.name, captured, timed=self.timed)
 
     def _finish_reduction(
         self, x: DeviceArray, name: str, *, pair: bool

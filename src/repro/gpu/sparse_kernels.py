@@ -15,7 +15,7 @@ from repro.errors import DeviceArrayError
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
 from repro.perfmodel.ops import OpCost
-from repro.sparse.base import segment_sums
+from repro.sparse.base import Segments
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 
@@ -31,6 +31,10 @@ class DeviceCsrMatrix:
         self.nnz = host.nnz
         self.dtype = np.dtype(dtype)
         self.device = device
+        #: The row structure the SpMV body reduces over, computed once at
+        #: upload (the matrix structure never changes on the device).
+        self.segments = Segments(host.indptr)
+        self._spmv_costs: dict[int, OpCost] = {}
         try:
             self.indptr = device.to_device(host.indptr.astype(np.int32))
             self.indices = device.to_device(host.indices.astype(np.int32))
@@ -76,6 +80,9 @@ class DeviceCscMatrix:
         #: by peeking at ``self.indptr.data`` — silently bypass the device
         #: cost model.
         self.host_indptr = host.indptr.astype(np.int64, copy=True)
+        #: The column structure the SpMVᵀ body reduces over.
+        self.segments = Segments(self.host_indptr)
+        self._spmv_costs: dict[int, OpCost] = {}
         try:
             self.indptr = device.to_device(host.indptr.astype(np.int32))
             self.indices = device.to_device(host.indices.astype(np.int32))
@@ -141,6 +148,33 @@ class DeviceCscMatrix:
         return col_nnz
 
 
+def _launch_spmv(
+    name: str, a: "DeviceCsrMatrix | DeviceCscMatrix", x: DeviceArray, y: DeviceArray
+) -> None:
+    """One scalar-CSR SpMV over ``a``'s segments (one thread per segment):
+    ``y[i]`` is the dot product of segment ``i`` with ``x``.  Its cost is
+    built once per matrix and operand width."""
+    w = x.itemsize
+    cost = a._spmv_costs.get(w)
+    if cost is None:
+        segs = a.segments.size
+        cost = a._spmv_costs[w] = OpCost(
+            flops=2 * a.nnz,
+            bytes_read=a.nnz * (w + INDEX_BYTES)  # values + segment ids
+            + (segs + 1) * INDEX_BYTES  # segment pointers
+            + a.nnz * w,  # gathered operand values (uncoalesced)
+            bytes_written=segs * w,
+            threads=max(1, segs),
+            coalesced_fraction=0.6,
+        )
+
+    def body() -> None:
+        a.indptr._check_live()  # the structure itself is read from a.segments
+        y.data[:] = a.segments.sum_products(a.data.data, x.data[a.indices.data])
+
+    a.device.launch(name, body, cost, dtype=a.dtype, reads=(x,), writes=(y,))
+
+
 def spmv_csr(a: DeviceCsrMatrix, x: DeviceArray, y: DeviceArray) -> None:
     """y := A x for device CSR A (scalar kernel: one thread per row)."""
     m, n = a.shape
@@ -148,26 +182,7 @@ def spmv_csr(a: DeviceCsrMatrix, x: DeviceArray, y: DeviceArray) -> None:
         raise DeviceArrayError(
             f"spmv_csr shapes: A {a.shape}, x {x.shape}, y {y.shape}"
         )
-    dev = a.device
-    w = x.itemsize
-
-    def body() -> None:
-        host = a  # device-resident structure
-        prods = host.data.data.astype(np.float64) * x.data[host.indices.data]
-        y.data[:] = segment_sums(prods, host.indptr.data).astype(y.dtype)
-
-    cost = OpCost(
-        flops=2 * a.nnz,
-        bytes_read=a.nnz * (w + INDEX_BYTES)  # values + column ids
-        + (m + 1) * INDEX_BYTES  # row pointers
-        + a.nnz * w,  # gathered x values (uncoalesced)
-        bytes_written=m * w,
-        threads=max(1, m),
-        coalesced_fraction=0.6,
-    )
-    dev.launch(
-        "sparse.spmv_csr", body, cost, dtype=a.dtype, reads=(x,), writes=(y,)
-    )
+    _launch_spmv("sparse.spmv_csr", a, x, y)
 
 
 def spmv_csc_t(a: DeviceCscMatrix, x: DeviceArray, y: DeviceArray) -> None:
@@ -182,22 +197,4 @@ def spmv_csc_t(a: DeviceCscMatrix, x: DeviceArray, y: DeviceArray) -> None:
         raise DeviceArrayError(
             f"spmv_csc_t shapes: A {a.shape}, x {x.shape}, y {y.shape}"
         )
-    dev = a.device
-    w = x.itemsize
-
-    def body() -> None:
-        prods = a.data.data.astype(np.float64) * x.data[a.indices.data]
-        y.data[:] = segment_sums(prods, a.indptr.data).astype(y.dtype)
-
-    cost = OpCost(
-        flops=2 * a.nnz,
-        bytes_read=a.nnz * (w + INDEX_BYTES)
-        + (n + 1) * INDEX_BYTES
-        + a.nnz * w,
-        bytes_written=n * w,
-        threads=max(1, n),
-        coalesced_fraction=0.6,
-    )
-    dev.launch(
-        "sparse.spmv_csc_t", body, cost, dtype=a.dtype, reads=(x,), writes=(y,)
-    )
+    _launch_spmv("sparse.spmv_csc_t", a, x, y)

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checkers only
     from repro.batch.scheduler import LPTimeline, ScheduleOutcome
     from repro.obs.attribution import AttributionReport
     from repro.obs.span import ObsRecording
+    from repro.perfmodel.gpu_model import GpuCostModel
     from repro.perfmodel.ops import OpCost
     from repro.result import SolveResult
 
@@ -58,13 +59,15 @@ SERVE_LATENCY_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def record_kernel_launch(
-    name: str, seconds: float, cost: "OpCost", occupancy: float
+    name: str, seconds: float, cost: "OpCost", model: "GpuCostModel", block: int
 ) -> None:
     """One kernel launch: time/launch/flop/byte totals by kernel name, plus
-    modeled occupancy and coalescing efficiency from the cost model."""
+    modeled occupancy (``model.fill_factor`` at the launch's block size,
+    evaluated only while a registry collects) and coalescing efficiency."""
     reg = active()
     if reg is None:
         return
+    occupancy = model.fill_factor(cost.threads, block)
     reg.counter(
         "repro_gpu_kernel_launches_total", "Kernel launches by kernel name.",
         labels=("kernel",),

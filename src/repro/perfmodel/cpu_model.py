@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import MEMO_CAP, OpCost
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,11 +54,30 @@ class CpuCostModel:
     """Turns :class:`OpCost` descriptions into modeled sequential-CPU seconds."""
 
     def __init__(self, params: CpuModelParams):
-        self.params = params
+        self._params = params
+        self._memo: dict = {}
+
+    @property
+    def params(self) -> CpuModelParams:
+        """The (frozen) calibration; fixed for the model's lifetime, which
+        is what makes the op-time memo valid."""
+        return self._params
 
     def op_time(self, cost: OpCost, dtype: np.dtype = np.float64) -> float:
-        """Modeled time of one operation, seconds."""
-        p = self.params
+        """Modeled time of one operation, seconds (memoized, bounded by
+        :data:`~repro.perfmodel.ops.MEMO_CAP` entries)."""
+        dtype = np.dtype(dtype)
+        key = (cost, dtype)
+        seconds = self._memo.get(key)
+        if seconds is None:
+            seconds = self._op_time(cost, dtype)
+            if len(self._memo) >= MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = seconds
+        return seconds
+
+    def _op_time(self, cost: OpCost, dtype: np.dtype) -> float:
+        p = self._params
         t_c = 0.0
         if cost.flops > 0:
             t_c = cost.flops / p.sustained_flops(dtype)

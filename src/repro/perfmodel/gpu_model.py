@@ -15,6 +15,10 @@ matter for a simplex solver, whose kernels are small BLAS-1/2 operations:
 
 Kernel time is ``launch_overhead + max(t_compute, t_memory)`` — compute and
 memory pipelines overlap on SIMT hardware.
+
+:meth:`GpuCostModel.kernel_time` is a pure function of the cost, the dtype,
+the block size and the frozen parameters, so it is memoized per model
+instance, bounded by :data:`~repro.perfmodel.ops.MEMO_CAP` entries.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import MEMO_CAP, OpCost
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +96,14 @@ class GpuCostModel:
     """Turns :class:`OpCost` descriptions into simulated-device seconds."""
 
     def __init__(self, params: GpuModelParams):
-        self.params = params
+        self._params = params
+        self._memo: dict = {}
+
+    @property
+    def params(self) -> GpuModelParams:
+        """The (frozen) calibration; fixed for the model's lifetime, which
+        is what makes the kernel-time memo valid."""
+        return self._params
 
     # -- kernel timing ----------------------------------------------------
 
@@ -136,10 +147,18 @@ class GpuCostModel:
     def kernel_time(
         self, cost: OpCost, dtype: np.dtype = np.float32, block_threads: int = 256
     ) -> float:
-        """Total modeled time of one kernel launch, seconds."""
-        t_c = self.compute_time(cost, dtype, block_threads)
-        t_m = self.memory_time(cost, dtype, block_threads)
-        return self.params.launch_overhead + max(t_c, t_m)
+        """Total modeled time of one kernel launch, seconds (memoized)."""
+        dtype = np.dtype(dtype)
+        key = (cost, dtype, block_threads)
+        seconds = self._memo.get(key)
+        if seconds is None:
+            t_c = self.compute_time(cost, dtype, block_threads)
+            t_m = self.memory_time(cost, dtype, block_threads)
+            seconds = self._params.launch_overhead + max(t_c, t_m)
+            if len(self._memo) >= MEMO_CAP:
+                self._memo.clear()
+            self._memo[key] = seconds
+        return seconds
 
     # -- transfer timing ---------------------------------------------------
 

@@ -11,6 +11,20 @@ from __future__ import annotations
 
 import dataclasses
 
+#: Entry cap of the cost models' per-instance memos (``kernel_time``,
+#: ``op_time``).  A full memo is emptied and refilled, so it never holds
+#: more than this many entries.  Memoization is exact: the models are pure
+#: functions of ``(OpCost, dtype[, block])`` and their frozen parameters,
+#: and equal keys (``OpCost(flops=10)`` and ``OpCost(flops=10.0)``, say)
+#: hold numerically equal fields, which the models' float arithmetic turns
+#: into the same seconds.  A PDHG solve needs under 20 keys and a serve
+#: replay's long-lived devices under 200; a sparse simplex solve at 300x450
+#: needs about a thousand, so its memo is emptied a few times per solve.
+#: The cap bounds the memo's memory (about 0.45 kB per entry, counting the
+#: key's ``OpCost``): at 1024 entries the sparse-simplex pass's peak RSS
+#: rose by about 1 MB, at 256 by about 0.15 MB.
+MEMO_CAP = 256
+
 
 @dataclasses.dataclass(frozen=True)
 class OpCost:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine import HostBackend, attach_standard_solution, rule_label
+from repro.gpu.blas import rank1_update
 from repro.lp.problem import LPProblem
 from repro.lp.standard_form import StandardFormLP
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder
@@ -194,7 +195,7 @@ class TableauSimplexSolver(HostBackend):
             row_p = tableau[p, :] / piv
             beta_p = beta[p] / piv
             col = tableau[:, q].copy()
-            tableau -= np.outer(col, row_p)
+            rank1_update(tableau, col, row_p, -1.0)
             tableau[p, :] = row_p
             beta -= col * beta_p
             beta[p] = beta_p
@@ -244,7 +245,7 @@ class TableauSimplexSolver(HostBackend):
             row_p = tableau[p, :] / piv
             beta_p = beta[p] / piv
             col = tableau[:, q].copy()
-            tableau -= np.outer(col, row_p)
+            rank1_update(tableau, col, row_p, -1.0)
             tableau[p, :] = row_p
             beta -= col * beta_p
             beta[p] = beta_p

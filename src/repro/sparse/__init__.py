@@ -10,9 +10,9 @@ These are deliberately *not* wrappers around ``scipy.sparse``; scipy is used
 only in the test-suite as an independent oracle.
 """
 
-from repro.sparse.base import segment_sums
+from repro.sparse.base import Segments, segment_sums
 from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.csc import CscMatrix
 
-__all__ = ["CooMatrix", "CsrMatrix", "CscMatrix", "segment_sums"]
+__all__ = ["CooMatrix", "CsrMatrix", "CscMatrix", "Segments", "segment_sums"]

@@ -32,6 +32,66 @@ def segment_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.asarray(np.where(lengths > 0, out, 0.0), dtype=np.float64)
 
 
+class Segments:
+    """The segment structure of one ``indptr``, computed once per matrix.
+
+    :meth:`sum_products` returns ``segment_sums(values * factors, indptr)``
+    bit for bit, without re-deriving the structure on every call: it runs
+    ``np.add.reduceat`` over the *nonempty* segments' starts only (an empty
+    segment is a 0.0 filled in afterwards), so every nonempty sum reduces
+    exactly the slice ``segment_sums`` reduces.  That includes the sentinel
+    rule: ``segment_sums`` reduces over the data with a trailing 0.0, so a
+    nonempty *final* segment is summed with that 0.0 as its last term
+    (which turns a ``-0.0`` sum into ``0.0`` and can change how
+    ``reduceat`` pairs up the terms); a nonempty segment followed only by
+    empty ones is not.  :attr:`sentinel` records which case holds.
+
+    ``col_of`` is the segment id of every entry — the column of each CSC
+    entry, the row of each CSR entry — for the scatter-add products.  The
+    structure assumes ``indptr`` is not modified in place afterwards.
+    """
+
+    __slots__ = ("indptr", "size", "nnz", "starts", "rows", "sentinel", "_col_of")
+
+    def __init__(self, indptr: np.ndarray):
+        #: The array this structure was built from (identity-checked by the
+        #: owning matrix, which rebuilds if ``indptr`` is reassigned).
+        self.indptr = indptr
+        ptr = np.asarray(indptr, dtype=np.int64)
+        self.size = max(ptr.size - 1, 0)
+        self.nnz = int(ptr[-1]) if ptr.size else 0
+        lengths = np.diff(ptr)
+        nonempty = lengths > 0
+        self.starts = ptr[:-1][nonempty]
+        #: Output slots of the nonempty segments; None when all are nonempty.
+        self.rows = None if nonempty.all() else np.flatnonzero(nonempty)
+        self.sentinel = bool(self.size) and bool(nonempty[-1])
+        self._col_of: np.ndarray | None = None
+
+    @property
+    def col_of(self) -> np.ndarray:
+        if self._col_of is None:
+            ptr = np.asarray(self.indptr, dtype=np.int64)
+            self._col_of = np.repeat(np.arange(self.size), np.diff(ptr))
+        return self._col_of
+
+    def sum_products(self, values: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Per-segment sums of ``values * factors`` (both of length nnz),
+        multiplied and summed in float64."""
+        if not self.starts.size:
+            return np.zeros(self.size, dtype=np.float64)
+        nnz = self.nnz
+        buf = np.empty(nnz + 1, dtype=np.float64)
+        np.multiply(values, factors, out=buf[:nnz], dtype=np.float64)
+        buf[nnz] = 0.0
+        sums = np.add.reduceat(buf if self.sentinel else buf[:nnz], self.starts)
+        if self.rows is None:
+            return sums
+        out = np.zeros(self.size, dtype=np.float64)
+        out[self.rows] = sums
+        return out
+
+
 class SparseMatrix(abc.ABC):
     """Abstract base: shape/nnz bookkeeping and format-neutral helpers."""
 
@@ -59,6 +119,14 @@ class SparseMatrix(abc.ABC):
         """nnz / (rows * cols); 0 for an empty shape."""
         cells = self.shape[0] * self.shape[1]
         return self.nnz / cells if cells else 0.0
+
+    def _segments(self) -> Segments:
+        """The :class:`Segments` of ``self.indptr`` (CSR/CSC), built on
+        first use and rebuilt only if ``indptr`` is reassigned."""
+        seg = self.__dict__.get("_seg")
+        if seg is None or seg.indptr is not self.indptr:
+            seg = self._seg = Segments(self.indptr)
+        return seg
 
     # -- shared validation --------------------------------------------------
 

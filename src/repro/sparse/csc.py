@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SparseFormatError
-from repro.sparse.base import SparseMatrix, segment_sums
+from repro.sparse.base import SparseMatrix
 
 
 class CscMatrix(SparseMatrix):
@@ -67,14 +67,13 @@ class CscMatrix(SparseMatrix):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = self._matvec_check(x)
         out = np.zeros(self.shape[0], dtype=np.float64)
-        col_of = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
-        np.add.at(out, self.indices, self.data * x[col_of])
+        np.add.at(out, self.indices, self.data * x[self._segments().col_of])
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = self._rmatvec_check(y)
-        prods = self.data * y[self.indices]
-        return segment_sums(prods, self.indptr)  # one sum per column
+        # one sum per column
+        return self._segments().sum_products(self.data, y[self.indices])
 
     # -- column access ------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SparseFormatError
-from repro.sparse.base import SparseMatrix, segment_sums
+from repro.sparse.base import SparseMatrix
 
 
 class CsrMatrix(SparseMatrix):
@@ -72,14 +72,13 @@ class CsrMatrix(SparseMatrix):
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = self._matvec_check(x)
-        prods = self.data * x[self.indices]
-        return segment_sums(prods, self.indptr)  # one sum per row
+        # one sum per row
+        return self._segments().sum_products(self.data, x[self.indices])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = self._rmatvec_check(y)
         out = np.zeros(self.shape[1], dtype=np.float64)
-        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        np.add.at(out, self.indices, self.data * y[row_of])
+        np.add.at(out, self.indices, self.data * y[self._segments().col_of])
         return out
 
     # -- row/col access ----------------------------------------------------------

@@ -123,6 +123,14 @@ class TestClockAndLaunch:
             device.stats.sections["inner"]
         )
 
+    def test_timed_section_accumulates_when_block_raises(self, device):
+        with pytest.raises(RuntimeError):
+            with device.timed_section("phase"):
+                device.launch("k", lambda: None, OpCost(flops=1e6, threads=1024))
+                raise RuntimeError("kernel failed")
+        assert device.clock > 0.0
+        assert device.stats.sections["phase"] == device.clock
+
     def test_reset_stats_keeps_allocations(self, device):
         a = device.alloc(100, np.float32)
         device.launch("k", lambda: None, OpCost(flops=1, threads=1))
@@ -156,6 +164,56 @@ class TestClockAndLaunch:
         assert "a" in bd
         bd["a"] = -1.0  # mutating the copy must not affect stats
         assert device.stats.by_kernel["a"].seconds > 0
+
+
+class TestLaunchValidationAfterCaching:
+    """Only successful launch configurations are remembered: after many
+    valid launches of one shape, an invalid one still raises."""
+
+    @staticmethod
+    def _warm(device, n=50):
+        for _ in range(n):
+            device.launch("k", lambda: None, OpCost(flops=1, threads=10), block=256)
+
+    @staticmethod
+    def _zero_threads() -> OpCost:
+        cost = OpCost(flops=1, threads=1)
+        object.__setattr__(cost, "threads", 0)  # past OpCost's own check
+        return cost
+
+    def test_block_over_limit_still_raises(self, device):
+        self._warm(device)
+        limit = device.params.max_threads_per_block
+        for _ in range(2):
+            with pytest.raises(InvalidLaunchError):
+                device.launch("k", lambda: None, OpCost(threads=10), block=limit + 1)
+
+    def test_zero_threads_still_raises(self, device):
+        self._warm(device)
+        for _ in range(2):
+            with pytest.raises(InvalidLaunchError):
+                device.launch("k", lambda: None, self._zero_threads(), block=256)
+
+    def test_invalid_launch_inside_capture_still_raises(self, device):
+        from repro.gpu.plan import LaunchPlan
+
+        plan = LaunchPlan(device, fusion=True)
+        for _ in range(20):
+            with plan.section("warm"):
+                device.launch(
+                    "k", lambda: None, OpCost(flops=1, threads=10), fusable=True
+                )
+        limit = device.params.max_threads_per_block
+        for bad in 2 * (
+            dict(cost=OpCost(threads=10), block=limit + 1),
+            dict(cost=self._zero_threads(), block=256),
+        ):
+            launches = device.stats.kernel_launches
+            with pytest.raises(InvalidLaunchError):
+                with plan.section("bad"):
+                    device.launch("k", lambda: None, bad["cost"], block=bad["block"])
+            assert device._capture is None  # the failed section's capture is gone
+            assert device.stats.kernel_launches == launches
 
 
 class TestTransferAccounting:

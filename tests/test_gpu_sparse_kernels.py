@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeviceArrayError
+from repro.gpu.device import Device
 from repro.gpu.sparse_kernels import (
     DeviceCscMatrix,
     DeviceCsrMatrix,
     spmv_csc_t,
     spmv_csr,
 )
-from repro.sparse import CscMatrix, CsrMatrix
+from repro.perfmodel.gpu_model import GpuCostModel
+from repro.perfmodel.ops import OpCost
+from repro.perfmodel.presets import GTX280_PARAMS
+from repro.sparse import CscMatrix, CsrMatrix, segment_sums
 
 
 @pytest.fixture
@@ -208,3 +214,93 @@ class TestGetcolCostModel:
         d = DeviceCscMatrix(device, host, dtype=np.float64)
         np.testing.assert_array_equal(d.host_indptr, host.indptr)
         np.testing.assert_array_equal(d.indptr.data, host.indptr)
+
+
+# ---------------------------------------------------------------------------
+# The SpMV bodies reduce over the matrix's precomputed Segments; their
+# output bytes and modeled costs must equal the former per-call formula
+# ---------------------------------------------------------------------------
+
+
+def _frozen_spmv(indptr, indices, data, x, out_dtype):
+    """The former body: structure re-derived on every call."""
+    prods = data.astype(np.float64) * x[indices]
+    return segment_sums(prods, indptr.astype(np.int64)).astype(out_dtype)
+
+
+def _frozen_spmv_cost(nnz, segs, w):
+    return OpCost(
+        flops=2 * nnz,
+        bytes_read=nnz * (w + 4) + (segs + 1) * 4 + nnz * w,
+        bytes_written=segs * w,
+        threads=max(1, segs),
+        coalesced_fraction=0.6,
+    )
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    """(dense, rng): a small matrix of any density, empty rows and
+    columns included."""
+    m = draw(st.integers(1, 14))
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    dense = rng.normal(size=(m, n))
+    dense[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0.0
+    return dense, rng
+
+
+def _with_signed_zeros(fmt, dense, rng):
+    """``fmt.from_dense(dense)`` with a fifth of its stored values set to
+    an explicit -0.0."""
+    mat = fmt.from_dense(dense)
+    data = mat.data.copy()
+    data[rng.random(data.size) < 0.2] = -0.0
+    return fmt(mat.shape, mat.indptr, mat.indices, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=signed_zero_matrices(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_device_spmv_bytes_and_cost_unchanged(case, dtype):
+    dense, rng = case
+    m, n = dense.shape
+    dev = Device(GTX280_PARAMS)
+    csr = _with_signed_zeros(CsrMatrix, dense, rng)
+    csc = _with_signed_zeros(CscMatrix, dense, rng)
+    d_csr = DeviceCsrMatrix(dev, csr, dtype=dtype)
+    d_csc = DeviceCscMatrix(dev, csc, dtype=dtype)
+    xh = rng.normal(size=n).astype(dtype)
+    yh = rng.normal(size=m).astype(dtype)
+    xh[::2] = -0.0
+    x, y = dev.to_device(xh), dev.to_device(yh)
+    ax, aty = dev.zeros(m, dtype), dev.zeros(n, dtype)
+    w = np.dtype(dtype).itemsize
+    fresh = GpuCostModel(GTX280_PARAMS)
+    dev.record_timeline()
+    for _ in range(2):  # the second launch reuses the cached cost
+        spmv_csr(d_csr, x, ax)
+        want = _frozen_spmv(
+            csr.indptr, csr.indices, csr.data.astype(dtype), xh, dtype
+        )
+        assert ax.data.tobytes() == want.tobytes()
+        cost = _frozen_spmv_cost(csr.nnz, m, w)
+        event = dev.timeline[-1]
+        assert event.seconds == fresh.kernel_time(cost, dtype)
+        assert (event.threads, event.nbytes) == (cost.threads, cost.bytes_total)
+        spmv_csc_t(d_csc, y, aty)
+        want = _frozen_spmv(
+            csc.indptr, csc.indices, csc.data.astype(dtype), yh, dtype
+        )
+        assert aty.data.tobytes() == want.tobytes()
+        cost = _frozen_spmv_cost(csc.nnz, n, w)
+        event = dev.timeline[-1]
+        assert event.seconds == fresh.kernel_time(cost, dtype)
+        assert (event.threads, event.nbytes) == (cost.threads, cost.bytes_total)
+
+
+def test_spmv_on_freed_matrix_raises(device, host_dense):
+    d = DeviceCsrMatrix(device, CsrMatrix.from_dense(host_dense))
+    x, y = device.zeros(23), device.zeros(17)
+    d.free()
+    with pytest.raises(DeviceArrayError):
+        spmv_csr(d, x, y)

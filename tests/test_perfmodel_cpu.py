@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perfmodel.cpu_model import CpuCostModel, CpuCostRecorder, CpuModelParams
 from repro.perfmodel.ops import OpCost
@@ -94,3 +96,69 @@ class TestRecorder:
         new = CpuCostRecorder(CpuCostModel(MODERN_CPU_PARAMS))
         c = OpCost(flops=1e9, bytes_read=1e8)
         assert new.charge("x", c) < old.charge("x", c)
+
+
+# ---------------------------------------------------------------------------
+# op_time memo: exact, keyed on equal values, bounded
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    work=st.lists(
+        st.tuples(
+            st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**8),
+            st.sampled_from([0.25, 0.5, 1.0]),
+        ),
+        min_size=1, max_size=6,
+    ),
+    dtype=st.sampled_from([np.float32, np.float64, "float64", np.dtype("f4")]),
+)
+def test_op_time_memo_equals_fresh_model(work, dtype):
+    memo = CpuCostModel(CORE2_CPU_PARAMS)
+    for _ in range(2):
+        for flops, rd, wr, coal in work:
+            as_int = OpCost(
+                flops=flops, bytes_read=rd, bytes_written=wr, coalesced_fraction=coal
+            )
+            as_float = OpCost(
+                flops=float(flops), bytes_read=float(rd), bytes_written=float(wr),
+                coalesced_fraction=coal,
+            )
+            fresh = CpuCostModel(CORE2_CPU_PARAMS).op_time(as_int, dtype)
+            assert memo.op_time(as_int, dtype).hex() == fresh.hex()
+            assert memo.op_time(as_float, np.dtype(dtype)).hex() == fresh.hex()
+
+
+def test_op_time_equal_keys_share_one_entry(model):
+    a = model.op_time(OpCost(flops=10), np.float32)
+    b = model.op_time(OpCost(flops=10.0), np.dtype("float32"))
+    assert a.hex() == b.hex()
+    assert len(model._memo) == 1
+
+
+def test_op_time_memo_bounded_after_revised_sparse_solve(monkeypatch):
+    import repro.perfmodel.cpu_model as cpu_model
+    from repro import solve
+    from repro.lp.generators import random_sparse_lp
+    from repro.perfmodel.ops import MEMO_CAP
+
+    models = []
+    init = CpuCostModel.__init__
+
+    def recording_init(self, params):
+        init(self, params)
+        models.append(self)
+
+    monkeypatch.setattr(CpuCostModel, "__init__", recording_init)
+    lp = random_sparse_lp(40, 60, density=0.1, seed=7)
+    reference = solve(lp, method="revised-sparse")
+    sizes = [len(m._memo) for m in models]
+    assert sizes and 16 < max(sizes) <= MEMO_CAP
+    models.clear()
+    monkeypatch.setattr(cpu_model, "MEMO_CAP", 16)
+    capped = solve(lp, method="revised-sparse")
+    assert models and all(len(m._memo) <= 16 for m in models)
+    # emptying a full memo changes no modeled second
+    assert capped.timing.modeled_seconds == reference.timing.modeled_seconds
+    assert capped.objective == reference.objective

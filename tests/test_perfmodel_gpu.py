@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
@@ -185,3 +185,69 @@ def test_compute_time_scales_linearly_at_fixed_width(scale, flops):
     t1 = model.compute_time(OpCost(flops=flops, threads=threads), np.float32, 256)
     t2 = model.compute_time(OpCost(flops=flops * scale, threads=threads), np.float32, 256)
     assert t2 == pytest.approx(t1 * scale, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# kernel_time memo: exact, keyed on equal values, bounded
+# ---------------------------------------------------------------------------
+
+_DTYPES = [np.float32, np.float64, "float32", np.dtype("float64"), np.dtype("f4")]
+
+
+@st.composite
+def op_costs(draw):
+    """An OpCost with integral work fields, each given as an int or as the
+    equal float, so equal keys come in differently-typed forms."""
+
+    def number(hi):
+        v = draw(st.integers(0, hi))
+        return float(v) if draw(st.booleans()) else v
+
+    return OpCost(
+        flops=number(10**9),
+        bytes_read=number(10**9),
+        bytes_written=number(10**8),
+        threads=draw(st.integers(1, 10**6)),
+        coalesced_fraction=draw(st.sampled_from([0.25, 0.5, 0.6, 1.0])),
+        divergent_fraction=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    costs=st.lists(op_costs(), min_size=1, max_size=6),
+    dtype=st.sampled_from(_DTYPES),
+    block=st.sampled_from([16, 32, 100, 256, 512]),
+)
+def test_kernel_time_memo_equals_fresh_model(costs, dtype, block):
+    memo = GpuCostModel(GTX280_PARAMS)
+    for _ in range(2):
+        for cost in costs:
+            twin = dataclasses.replace(
+                cost, flops=float(cost.flops), bytes_read=int(cost.bytes_read)
+            )
+            fresh = GpuCostModel(GTX280_PARAMS).kernel_time(cost, dtype, block)
+            assert memo.kernel_time(cost, dtype, block).hex() == fresh.hex()
+            assert memo.kernel_time(twin, np.dtype(dtype), block).hex() == fresh.hex()
+
+
+def test_kernel_time_equal_keys_share_one_entry(model):
+    a = model.kernel_time(OpCost(flops=10, threads=64), np.float32, 256)
+    b = model.kernel_time(OpCost(flops=10.0, threads=64), np.dtype("float32"), 256)
+    assert a.hex() == b.hex()
+    assert len(model._memo) == 1
+
+
+def test_kernel_time_memo_is_bounded(model, monkeypatch):
+    import repro.perfmodel.gpu_model as gpu_model
+
+    monkeypatch.setattr(gpu_model, "MEMO_CAP", 8)
+    for i in range(50):
+        fresh = GpuCostModel(GTX280_PARAMS).kernel_time(OpCost(flops=i))
+        assert model.kernel_time(OpCost(flops=i)) == fresh
+        assert len(model._memo) <= 8
+
+
+def test_params_are_fixed_for_the_memo(model):
+    with pytest.raises(AttributeError):
+        model.params = GTX8800_PARAMS

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CooMatrix, CscMatrix, CsrMatrix, segment_sums
+from repro.sparse import CooMatrix, CscMatrix, CsrMatrix, Segments, segment_sums
 
 
 @st.composite
@@ -213,3 +213,141 @@ def test_double_transpose_roundtrips():
         np.testing.assert_array_equal(
             mat.transpose().transpose().to_dense(), dense
         )
+
+
+# ---------------------------------------------------------------------------
+# Segments — the once-per-matrix structure behind every SpMV body; it must
+# reproduce segment_sums bit for bit, sentinel rule included
+# ---------------------------------------------------------------------------
+
+#: Lengths around reduceat's pairwise-summation block edges (8 and 128),
+#: where one extra term changes how the sum is associated.
+_BLOCK_EDGES = [7, 8, 9, 15, 16, 17, 127, 128, 129, 300]
+
+
+@st.composite
+def segmented_products(draw):
+    """(indptr, values, factors): segments of varied length, including
+    empty ones anywhere, with signed zeros mixed into both operands."""
+    lengths = draw(
+        st.lists(
+            st.one_of(st.integers(0, 3), st.sampled_from(_BLOCK_EDGES)),
+            min_size=1, max_size=10,
+        )
+    )
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    nnz = int(indptr[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values = rng.normal(size=nnz)
+    factors = rng.normal(size=nnz)
+    for arr in (values, factors):
+        hit = rng.random(nnz) < zero_frac
+        arr[hit] = np.where(rng.random(int(hit.sum())) < 0.5, -0.0, 0.0)
+    return indptr, values, factors
+
+
+def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=segmented_products())
+def test_segments_sum_products_matches_segment_sums_bytes(case):
+    indptr, values, factors = case
+    _assert_same_bytes(
+        Segments(indptr).sum_products(values, factors),
+        segment_sums(values * factors, indptr),
+    )
+
+
+@pytest.mark.parametrize(
+    "indptr, values",
+    [
+        # a nonempty final segment gets the sentinel's + 0.0: -0. -> 0.
+        ([0, 1, 3, 4], [-0.0, 1.0, -1.0, -0.0]),
+        # an empty final segment: the last nonempty one keeps its -0.
+        ([0, 1, 2, 2], [1.0, -0.0]),
+        ([0, 0, 0], []),  # nnz = 0
+        ([0], []),  # no segments at all
+        ([0, 8], [0.1] * 8),  # 7 terms + the sentinel fill a pairwise block
+    ],
+    ids=["final-nonempty", "final-empty", "nnz-0", "no-segments", "block-edge"],
+)
+def test_segments_sentinel_rule(indptr, values):
+    indptr = np.array(indptr, dtype=np.int64)
+    values = np.array(values, dtype=np.float64)
+    ones = np.ones_like(values)
+    _assert_same_bytes(
+        Segments(indptr).sum_products(values, ones), segment_sums(values, indptr)
+    )
+
+
+def test_segments_signed_zero_example():
+    out = Segments(np.array([0, 1, 3, 4])).sum_products(
+        np.array([-0.0, 1.0, -1.0, -0.0]), np.ones(4)
+    )
+    assert [np.signbit(v) for v in out] == [True, False, False]
+
+
+@st.composite
+def compressed_matrices(draw):
+    """(shape, indptr, indices, data) of one compressed-format matrix with
+    empty and long segments and signed-zero values."""
+    n_seg = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    lengths = [
+        int(rng.integers(0, min(width, 140) + 1)) if rng.random() < 0.7 else 0
+        for _ in range(n_seg)
+    ]
+    indices = np.concatenate(
+        [np.sort(rng.choice(width, size=k, replace=False)) for k in lengths]
+        + [np.zeros(0, dtype=np.int64)]
+    ).astype(np.int64)
+    data = rng.normal(size=indices.size)
+    data[rng.random(indices.size) < 0.2] = -0.0
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return (n_seg, width), indptr, indices, data
+
+
+def _frozen_scatter(shape_out, indptr, indices, data, v):
+    """The former scatter-add body: entry ids rebuilt on every call."""
+    out = np.zeros(shape_out, dtype=np.float64)
+    seg_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    np.add.at(out, indices, data * v[seg_of])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=compressed_matrices(), seed=st.integers(0, 2**31))
+def test_host_matvec_rmatvec_bytes_unchanged(case, seed):
+    (n_seg, width), indptr, indices, data = case
+    rng = np.random.default_rng(seed)
+    v_seg = rng.normal(size=n_seg)
+    v_wide = rng.normal(size=width)
+    v_wide[::3] = -0.0
+    csr = CsrMatrix((n_seg, width), indptr, indices, data)
+    csc = CscMatrix((width, n_seg), indptr, indices, data)
+    for _ in range(2):  # the second call runs on the cached structure
+        _assert_same_bytes(
+            csr.matvec(v_wide), segment_sums(data * v_wide[indices], indptr)
+        )
+        _assert_same_bytes(
+            csc.rmatvec(v_wide), segment_sums(data * v_wide[indices], indptr)
+        )
+        _assert_same_bytes(
+            csr.rmatvec(v_seg), _frozen_scatter(width, indptr, indices, data, v_seg)
+        )
+        _assert_same_bytes(
+            csc.matvec(v_seg), _frozen_scatter(width, indptr, indices, data, v_seg)
+        )
+
+
+def test_segments_rebuilt_when_indptr_reassigned():
+    csr = CsrMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    first = csr._segments()
+    assert csr._segments() is first
+    csr.indptr = csr.indptr.copy()
+    assert csr._segments() is not first
