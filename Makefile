@@ -159,11 +159,9 @@ endif
 bench-tests:  ## the perfbench harness's own tests (tiny instances)
 	python3 -m pytest perfbench/tests
 
-N ?= 10
-SEED ?= 1
-
-bench-pairs:  ## W=<workload> PARENT=<rev> [N=10] [SEED=1]: paired parent/change perfbench runs
-	python3 tools/bench_pairs.py --workload $(W) --parent $(PARENT) --pairs $(N) --seed $(SEED)
+bench-pairs:  ## W=<workload> PARENT=<rev> [N=<pairs>] [SEED=<seed>]: paired parent/change perfbench runs
+	python3 tools/bench_pairs.py --workload $(W) --parent $(PARENT) \
+		$(if $(N),--pairs $(N)) $(if $(SEED),--seed $(SEED))
 
 bench-batch:  ## the B1 batched-LP throughput experiment only
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/bench_b1_batch_throughput.py --benchmark-only -q

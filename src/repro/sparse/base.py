@@ -13,38 +13,27 @@ def segment_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-segment sums of ``data`` partitioned by ``indptr`` boundaries.
 
     Segment ``i`` covers ``data[indptr[i]:indptr[i+1]]``; the result has
-    ``len(indptr) - 1`` entries.  This is the single shared implementation of
-    the ``np.add.reduceat`` empty-segment workaround (previously copy-pasted
-    across both host formats and both device SpMV kernels): a sentinel 0.0 is
-    appended so start indices can be clamped into range, and zero-length
-    segments — for which ``reduceat`` reports the *next* segment's first
-    element — are forced to 0.0.
+    ``len(indptr) - 1`` entries, and an empty segment sums to 0.0.  A
+    one-off call of :meth:`Segments.sums`; callers that reduce over the same
+    ``indptr`` repeatedly keep the :class:`Segments` instead.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    if indptr.size <= 1:
-        return np.zeros(0, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    out = np.add.reduceat(
-        np.concatenate([data, [0.0]]),
-        np.minimum(indptr[:-1], data.size),
-    )
-    lengths = np.diff(indptr)
-    return np.asarray(np.where(lengths > 0, out, 0.0), dtype=np.float64)
+    return Segments(indptr).sums(data)
 
 
 class Segments:
     """The segment structure of one ``indptr``, computed once per matrix.
 
-    :meth:`sum_products` returns ``segment_sums(values * factors, indptr)``
-    bit for bit, without re-deriving the structure on every call: it runs
-    ``np.add.reduceat`` over the *nonempty* segments' starts only (an empty
-    segment is a 0.0 filled in afterwards), so every nonempty sum reduces
-    exactly the slice ``segment_sums`` reduces.  That includes the sentinel
-    rule: ``segment_sums`` reduces over the data with a trailing 0.0, so a
-    nonempty *final* segment is summed with that 0.0 as its last term
-    (which turns a ``-0.0`` sum into ``0.0`` and can change how
-    ``reduceat`` pairs up the terms); a nonempty segment followed only by
-    empty ones is not.  :attr:`sentinel` records which case holds.
+    This is the one implementation of the segmented reduction behind every
+    SpMV.  It runs ``np.add.reduceat`` over the *nonempty* segments' starts
+    only (``reduceat`` would report the next segment's first element for a
+    zero-length one), and fills empty segments with 0.0 afterwards.  The
+    data is reduced with a trailing 0.0 sentinel, so a nonempty *final*
+    segment is summed with that 0.0 as its last term (which turns a
+    ``-0.0`` sum into ``0.0`` and can change how ``reduceat`` pairs up the
+    terms); a nonempty segment followed only by empty ones is not.
+    :attr:`sentinel` records which case holds.  The rule is the one the
+    former per-call body (a sentinel appended so clamped start indices stay
+    in range) followed, kept so every sum stays bit-identical to it.
 
     ``col_of`` is the segment id of every entry — the column of each CSC
     entry, the row of each CSR entry — for the scatter-add products.  The
@@ -75,14 +64,27 @@ class Segments:
             self._col_of = np.repeat(np.arange(self.size), np.diff(ptr))
         return self._col_of
 
+    def sums(self, data: np.ndarray) -> np.ndarray:
+        """Per-segment sums of ``data`` (length nnz), in float64."""
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != (self.nnz,):
+            raise ValueError(f"data has shape {data.shape}, expected ({self.nnz},)")
+        buf = np.empty(self.nnz + 1, dtype=np.float64)
+        buf[: self.nnz] = data
+        return self._reduce(buf)
+
     def sum_products(self, values: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Per-segment sums of ``values * factors`` (both of length nnz),
         multiplied and summed in float64."""
+        buf = np.empty(self.nnz + 1, dtype=np.float64)
+        np.multiply(values, factors, out=buf[: self.nnz], dtype=np.float64)
+        return self._reduce(buf)
+
+    def _reduce(self, buf: np.ndarray) -> np.ndarray:
+        """Segment sums of ``buf[:nnz]``; ``buf[nnz]`` is the sentinel slot."""
         if not self.starts.size:
             return np.zeros(self.size, dtype=np.float64)
         nnz = self.nnz
-        buf = np.empty(nnz + 1, dtype=np.float64)
-        np.multiply(values, factors, out=buf[:nnz], dtype=np.float64)
         buf[nnz] = 0.0
         sums = np.add.reduceat(buf if self.sentinel else buf[:nnz], self.starts)
         if self.rows is None:

@@ -93,3 +93,21 @@ def assert_matches_oracle(lp: LPProblem, result, tol: float = 1e-5) -> None:
     )
     assert result.x is not None
     assert lp.constraint_violation(result.x) <= 1e-5
+
+
+def frozen_segment_sums(data, indptr) -> np.ndarray:
+    """The per-call segmented reduction that ``repro.sparse.Segments``
+    replaced, kept verbatim as the byte-equality reference: a 0.0 sentinel
+    is appended so start indices can be clamped into range, and empty
+    segments (where ``reduceat`` reports the next segment's first element)
+    are forced to 0.0."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    if indptr.size <= 1:
+        return np.zeros(0, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float64)
+    out = np.add.reduceat(
+        np.concatenate([data, [0.0]]),
+        np.minimum(indptr[:-1], data.size),
+    )
+    lengths = np.diff(indptr)
+    return np.asarray(np.where(lengths > 0, out, 0.0), dtype=np.float64)

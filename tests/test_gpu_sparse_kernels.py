@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frozen_segment_sums
 from repro.errors import DeviceArrayError
 from repro.gpu.device import Device
 from repro.gpu.sparse_kernels import (
@@ -17,7 +18,7 @@ from repro.gpu.sparse_kernels import (
 from repro.perfmodel.gpu_model import GpuCostModel
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import GTX280_PARAMS
-from repro.sparse import CscMatrix, CsrMatrix, segment_sums
+from repro.sparse import CscMatrix, CsrMatrix
 
 
 @pytest.fixture
@@ -225,7 +226,7 @@ class TestGetcolCostModel:
 def _frozen_spmv(indptr, indices, data, x, out_dtype):
     """The former body: structure re-derived on every call."""
     prods = data.astype(np.float64) * x[indices]
-    return segment_sums(prods, indptr.astype(np.int64)).astype(out_dtype)
+    return frozen_segment_sums(prods, indptr.astype(np.int64)).astype(out_dtype)
 
 
 def _frozen_spmv_cost(nnz, segs, w):

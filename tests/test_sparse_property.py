@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frozen_segment_sums
 from repro.sparse import CooMatrix, CscMatrix, CsrMatrix, Segments, segment_sums
 
 
@@ -216,8 +217,9 @@ def test_double_transpose_roundtrips():
 
 
 # ---------------------------------------------------------------------------
-# Segments — the once-per-matrix structure behind every SpMV body; it must
-# reproduce segment_sums bit for bit, sentinel rule included
+# Segments — the once-per-matrix structure behind every SpMV body and
+# segment_sums; it must reproduce the former per-call body
+# (conftest.frozen_segment_sums) bit for bit, sentinel rule included
 # ---------------------------------------------------------------------------
 
 #: Lengths around reduceat's pairwise-summation block edges (8 and 128),
@@ -256,10 +258,9 @@ def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 @given(case=segmented_products())
 def test_segments_sum_products_matches_segment_sums_bytes(case):
     indptr, values, factors = case
-    _assert_same_bytes(
-        Segments(indptr).sum_products(values, factors),
-        segment_sums(values * factors, indptr),
-    )
+    want = frozen_segment_sums(values * factors, indptr)
+    _assert_same_bytes(Segments(indptr).sum_products(values, factors), want)
+    _assert_same_bytes(segment_sums(values * factors, indptr), want)
 
 
 @pytest.mark.parametrize(
@@ -279,9 +280,9 @@ def test_segments_sentinel_rule(indptr, values):
     indptr = np.array(indptr, dtype=np.int64)
     values = np.array(values, dtype=np.float64)
     ones = np.ones_like(values)
-    _assert_same_bytes(
-        Segments(indptr).sum_products(values, ones), segment_sums(values, indptr)
-    )
+    want = frozen_segment_sums(values, indptr)
+    _assert_same_bytes(Segments(indptr).sum_products(values, ones), want)
+    _assert_same_bytes(segment_sums(values, indptr), want)
 
 
 def test_segments_signed_zero_example():
@@ -332,10 +333,10 @@ def test_host_matvec_rmatvec_bytes_unchanged(case, seed):
     csc = CscMatrix((width, n_seg), indptr, indices, data)
     for _ in range(2):  # the second call runs on the cached structure
         _assert_same_bytes(
-            csr.matvec(v_wide), segment_sums(data * v_wide[indices], indptr)
+            csr.matvec(v_wide), frozen_segment_sums(data * v_wide[indices], indptr)
         )
         _assert_same_bytes(
-            csc.rmatvec(v_wide), segment_sums(data * v_wide[indices], indptr)
+            csc.rmatvec(v_wide), frozen_segment_sums(data * v_wide[indices], indptr)
         )
         _assert_same_bytes(
             csr.rmatvec(v_seg), _frozen_scatter(width, indptr, indices, data, v_seg)

@@ -16,8 +16,8 @@ host does not favour either side.  For every end-to-end metric of
 ``BENCHMARK.json`` the report gives each side's median and quartiles, the
 change's relative median difference and the number of pairs the change
 won; then every run's ``correct``/``failed`` and both sides' modeled
-digests (a host-only change must leave the digest alone).  ``--json``
-also writes every run's values to a file.
+digests (a host-only change must leave the digest alone).  Each run
+uses ``perfbench/run.py``'s own run length.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--json", type=Path, help="write every run's values here")
+    p.add_argument("--pairs", type=int, default=10, help="default: %(default)s")
+    p.add_argument("--seed", type=int, default=1, help="default: %(default)s")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -69,8 +67,7 @@ def run_once(tree: Path, args: argparse.Namespace) -> dict:
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", args.workload,
-            "--seed", str(args.seed), "--seconds", str(args.seconds),
-            "--trace", "0",
+            "--seed", str(args.seed), "--trace", "0",
         ],
         cwd=tree, env=env, capture_output=True, text=True,
     )
@@ -146,12 +143,10 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     print(
         f"bench-pairs {args.workload} seed={args.seed} parent={args.parent} "
-        f"pairs={args.pairs} seconds={args.seconds}"
+        f"pairs={args.pairs}"
     )
     for line in summarise(metrics, runs):
         print(line)
-    if args.json is not None:
-        args.json.write_text(json.dumps(runs, indent=1))
     return 0
 
 
