@@ -32,7 +32,8 @@
 # `make lint` enforces the layering architecture (no direct
 # trace/metrics/obs imports inside solver backends; serve modules reach
 # metrics and spans only through the instrument façade; the shared PDHG
-# loop imports neither the device nor the cost model); `make verify` is
+# loop imports neither the device nor the cost model; the dense kernel
+# modules build launch costs only through the interning op_cost); `make verify` is
 # the single pre-commit entry point: tier-1 tests + lint + the sparse,
 # serve, pdlp, obs and fuse smokes + the metrics regression gate + the
 # perfbench harness tests (the tracer imports backend modules by name).

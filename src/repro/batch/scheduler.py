@@ -113,22 +113,24 @@ class LPTimeline:
         device = 0.0
         busy = 0.0
         capacity = float(params.concurrent_threads)
-        for ev in events:
-            if ev.kind in _COPY_KINDS:
-                transfer += ev.seconds
+        # Unpacked by position (a field read on the named tuple costs more
+        # than unpacking it): kind, name, seconds, threads, nbytes, start.
+        for kind, name, seconds, threads, _, _ in events:
+            if kind in _COPY_KINDS:
+                transfer += seconds
             else:
-                device += ev.seconds
-                if ev.kind == "kernel":
+                device += seconds
+                if kind == "kernel":
                     launches += 1
-                    if ev.name in BATCHABLE_KERNELS:
+                    if name in BATCHABLE_KERNELS:
                         batchable += 1
                     util = max(
                         params.min_fill,
-                        min(1.0, max(ev.threads, 1) / capacity),
+                        min(1.0, max(threads, 1) / capacity),
                     )
                 else:  # dtod copies saturate the memory system
                     util = 1.0
-                busy += ev.seconds * util
+                busy += seconds * util
         return LPTimeline(
             index=index,
             kernel_launches=launches,

@@ -21,7 +21,7 @@ from repro.errors import DeviceArrayError
 from repro.gpu.blas import rank1_update
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import op_cost
 
 #: Value standing in for +inf in the ratio vector (a float32-safe infinity).
 #: Kernels must materialise it **in the vector's own dtype**
@@ -52,7 +52,7 @@ def extract_column(
     dev.launch(
         "kernel.extract_col",
         body,
-        OpCost(
+        op_cost(
             bytes_read=m * w,
             bytes_written=m * w,
             threads=max(1, m),
@@ -87,7 +87,7 @@ def extract_row(
     dev.launch(
         "kernel.extract_row",
         body,
-        OpCost(
+        op_cost(
             bytes_read=n * w,
             bytes_written=n * w,
             threads=max(1, n),
@@ -113,7 +113,7 @@ def unit_vector(dev: Device, out: DeviceArray, i: int) -> None:
     dev.launch(
         "kernel.unit_vector",
         body,
-        OpCost(bytes_written=out.nbytes + w, threads=max(1, out.size)),
+        op_cost(bytes_written=out.nbytes + w, threads=max(1, out.size)),
         dtype=out.dtype,
         fusable=True,
         writes=(out,),
@@ -150,7 +150,7 @@ def ratio_kernel(
     dev.launch(
         "kernel.ratio",
         body,
-        OpCost(
+        op_cost(
             flops=2 * m,
             bytes_read=2 * m * w,
             bytes_written=m * w,
@@ -193,7 +193,7 @@ def tie_break_key_kernel(
     dev.launch(
         "kernel.tie_break",
         body,
-        OpCost(
+        op_cost(
             flops=m,
             bytes_read=2 * m * w,
             bytes_written=m * w,
@@ -235,7 +235,7 @@ def eta_kernel(
     dev.launch(
         "kernel.eta",
         body,
-        OpCost(flops=2 * m, bytes_read=m * w, bytes_written=m * w, threads=max(1, m)),
+        op_cost(flops=2 * m, bytes_read=m * w, bytes_written=m * w, threads=max(1, m)),
         dtype=alpha.dtype,
         fusable=True,
         reads=(alpha,),
@@ -266,7 +266,7 @@ def update_beta_kernel(
     dev.launch(
         "kernel.update_beta",
         body,
-        OpCost(flops=3 * m, bytes_read=2 * m * w, bytes_written=m * w, threads=max(1, m)),
+        op_cost(flops=3 * m, bytes_read=2 * m * w, bytes_written=m * w, threads=max(1, m)),
         dtype=beta.dtype,
         fusable=True,
         reads=(beta, alpha),
@@ -285,7 +285,7 @@ def clamp_nonneg_kernel(dev: Device, x: DeviceArray) -> None:
     dev.launch(
         "kernel.clamp",
         body,
-        OpCost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
+        op_cost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
         dtype=x.dtype,
         fusable=True,
         reads=(x,),
@@ -316,7 +316,7 @@ def masked_for_min(
     dev.launch(
         "kernel.mask_min",
         body,
-        OpCost(
+        op_cost(
             flops=n,
             bytes_read=2 * n * w,
             bytes_written=n * w,
@@ -357,7 +357,7 @@ def masked_signed_for_min(
     dev.launch(
         "kernel.mask_signed_min",
         body,
-        OpCost(
+        op_cost(
             flops=2 * n,
             bytes_read=3 * n * w,
             bytes_written=n * w,
@@ -417,7 +417,7 @@ def bounded_ratio_kernel(
     dev.launch(
         "kernel.bounded_ratio",
         body,
-        OpCost(
+        op_cost(
             flops=6 * m,
             bytes_read=3 * m * w,
             bytes_written=2 * m * w,
@@ -460,7 +460,7 @@ def bounded_update_beta_kernel(
     dev.launch(
         "kernel.bounded_update_beta",
         body,
-        OpCost(flops=3 * m, bytes_read=2 * m * w, bytes_written=m * w, threads=max(1, m)),
+        op_cost(flops=3 * m, bytes_read=2 * m * w, bytes_written=m * w, threads=max(1, m)),
         dtype=beta.dtype,
         fusable=True,
         reads=(beta, alpha),
@@ -485,7 +485,7 @@ def scale_row_kernel(
     dev.launch(
         "kernel.scale_row",
         body,
-        OpCost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
+        op_cost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
         dtype=src_row.dtype,
         fusable=True,
         reads=(src_row,),
@@ -506,7 +506,7 @@ def write_row_kernel(dev: Device, mat: DeviceArray, i: int, row: DeviceArray) ->
     dev.launch(
         "kernel.write_row",
         body,
-        OpCost(bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
+        op_cost(bytes_read=n * w, bytes_written=n * w, threads=max(1, n)),
         dtype=mat.dtype,
         fusable=True,
         reads=(row,),
@@ -538,7 +538,7 @@ def ger_column_major(
     dev.launch(
         "kernel.tableau_ger",
         body,
-        OpCost(
+        op_cost(
             flops=2 * m * n,
             bytes_read=(m * n + m + n) * w,
             bytes_written=m * n * w,

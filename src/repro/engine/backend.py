@@ -126,10 +126,16 @@ class HostBackend(SolverBackend):
     :class:`~repro.perfmodel.cpu_model.CpuCostRecorder`)."""
 
     def arm_clock(self, **meta) -> None:
-        """Arm the observer hooks on the recorder's clock and sections."""
+        """Arm the observer hooks on the recorder's clock and sections.
+
+        The hooks' callables close over the recorder, not over ``self``:
+        the backend holds its hooks, so closing over ``self`` would make a
+        reference cycle that keeps the solver's arrays alive until the
+        cyclic garbage collector happens to run."""
+        recorder = self.recorder
         self.hooks.arm(
-            clock=lambda: self.recorder.total_seconds,
-            sections=lambda: self.recorder.by_op,
+            clock=lambda: recorder.total_seconds,
+            sections=lambda: recorder.by_op,
             meta=meta,
         )
 

@@ -7,6 +7,41 @@ import numpy as np
 from repro.errors import DeviceArrayError
 from repro.gpu.memory import DeviceArray
 
+#: The float dtypes kernels accept.  NumPy gives every native-order array
+#: of these types one shared ``np.dtype`` object, so the fast path below
+#: compares dtypes by identity.
+_FLOAT32 = np.dtype(np.float32)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def shared_float_dtype(arrays: tuple) -> np.dtype | None:
+    """The fast path of the kernel operand checks, in one pass.
+
+    Returns the operands' dtype when every operand is a live
+    :class:`DeviceArray` on the first operand's device with the first
+    operand's float32/float64 dtype, compared by identity; ``None``
+    otherwise.  ``None`` does not mean an operand is invalid (a subclass
+    or an equal but distinct dtype object also gives it): the caller then
+    runs the ``require_*`` chain, which raises the precise error or
+    accepts.
+    """
+    first = arrays[0]
+    if type(first) is not DeviceArray:
+        return None
+    device = first.device
+    dtype = first._data.dtype
+    if dtype is not _FLOAT64 and dtype is not _FLOAT32:
+        return None
+    for a in arrays:
+        if (
+            type(a) is not DeviceArray
+            or a._freed
+            or a.device is not device
+            or a._data.dtype is not dtype
+        ):
+            return None
+    return dtype
+
 
 def require_device_array(name: str, arr: object) -> DeviceArray:
     if not isinstance(arr, DeviceArray):

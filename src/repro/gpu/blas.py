@@ -40,20 +40,25 @@ from repro.gpu._checks import (
     require_same_device,
     require_same_dtype,
     require_vector,
+    shared_float_dtype,
 )
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceArray
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import op_cost
 
 
 def _prep(*arrays: DeviceArray) -> tuple[Device, np.dtype, int]:
-    """Common validation; returns (device, dtype, itemsize)."""
-    for i, a in enumerate(arrays):
-        require_device_array(f"arg{i}", a)
-        require_float_dtype(f"arg{i}", a)
-    require_same_device(*arrays)
-    dtype = require_same_dtype(*arrays)
-    return arrays[0].device, dtype, np.dtype(dtype).itemsize
+    """Common validation; returns (device, dtype, itemsize).  One identity
+    pass accepts the usual operands; anything else runs the full checks,
+    which raise the precise error."""
+    dtype = shared_float_dtype(arrays)
+    if dtype is None:
+        for i, a in enumerate(arrays):
+            require_device_array(f"arg{i}", a)
+            require_float_dtype(f"arg{i}", a)
+        require_same_device(*arrays)
+        dtype = require_same_dtype(*arrays)
+    return arrays[0].device, dtype, dtype.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +75,7 @@ def copy(x: DeviceArray, y: DeviceArray) -> None:
     dev.launch(
         "blas.copy",
         lambda: y.data.__setitem__(slice(None), x.data),
-        OpCost(bytes_read=n * w, bytes_written=n * w, threads=n),
+        op_cost(bytes_read=n * w, bytes_written=n * w, threads=n),
         dtype=dtype,
         fusable=True,
         reads=(x,),
@@ -93,7 +98,7 @@ def swap(x: DeviceArray, y: DeviceArray) -> None:
     dev.launch(
         "blas.swap",
         body,
-        OpCost(bytes_read=2 * n * w, bytes_written=2 * n * w, threads=n),
+        op_cost(bytes_read=2 * n * w, bytes_written=2 * n * w, threads=n),
         dtype=dtype,
         fusable=True,
         reads=(x, y),
@@ -109,7 +114,7 @@ def scal(alpha: float, x: DeviceArray) -> None:
     dev.launch(
         "blas.scal",
         lambda: x.data.__imul__(dtype.type(alpha)),
-        OpCost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=n),
+        op_cost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=n),
         dtype=dtype,
         fusable=True,
         reads=(x,),
@@ -130,7 +135,7 @@ def axpy(alpha: float, x: DeviceArray, y: DeviceArray) -> None:
     dev.launch(
         "blas.axpy",
         body,
-        OpCost(flops=2 * n, bytes_read=2 * n * w, bytes_written=n * w, threads=n),
+        op_cost(flops=2 * n, bytes_read=2 * n * w, bytes_written=n * w, threads=n),
         dtype=dtype,
         fusable=True,
         reads=(x, y),
@@ -147,7 +152,7 @@ def _reduction_launches(dev: Device, name: str, n: int, w: int, dtype,
         dev.launch(
             name,
             lambda: None,
-            OpCost(
+            op_cost(
                 flops=flops_per_elem * remaining,
                 bytes_read=remaining * w,
                 bytes_written=nxt * w,
@@ -173,7 +178,7 @@ def dot(x: DeviceArray, y: DeviceArray) -> float:
     dev.launch(
         "blas.dot",
         body,
-        OpCost(
+        op_cost(
             flops=2 * n,
             bytes_read=2 * n * w,
             bytes_written=partials * w,
@@ -200,7 +205,7 @@ def nrm2(x: DeviceArray) -> float:
     dev.launch(
         "blas.nrm2",
         body,
-        OpCost(flops=2 * n, bytes_read=n * w, bytes_written=partials * w, threads=n),
+        op_cost(flops=2 * n, bytes_read=n * w, bytes_written=partials * w, threads=n),
         dtype=dtype,
     )
     _reduction_launches(dev, "blas.nrm2", n, w, dtype, 1.0)
@@ -222,7 +227,7 @@ def asum(x: DeviceArray) -> float:
     dev.launch(
         "blas.asum",
         body,
-        OpCost(flops=n, bytes_read=n * w, bytes_written=partials * w, threads=n),
+        op_cost(flops=n, bytes_read=n * w, bytes_written=partials * w, threads=n),
         dtype=dtype,
     )
     _reduction_launches(dev, "blas.asum", n, w, dtype, 1.0)
@@ -259,7 +264,7 @@ def cast(x: DeviceArray, out: DeviceArray) -> None:
     x.device.launch(
         "blas.cast",
         body,
-        OpCost(
+        op_cost(
             flops=n,
             bytes_read=n * w_src,
             bytes_written=n * w_dst,
@@ -321,7 +326,7 @@ def gemv(
             y.data[:] = alpha_t * (av @ x.data) + beta_t * y.data
 
     extra = out_len * w if beta != 0.0 else 0
-    cost = OpCost(
+    cost = op_cost(
         flops=2 * m * n + (2 * out_len if beta != 0.0 else 0),
         bytes_read=m * n * w + in_len * w + extra,
         bytes_written=out_len * w,
@@ -358,7 +363,7 @@ def ger(
     def body() -> None:
         rank1_update(a.data, x.data, y.data, alpha_t)
 
-    cost = OpCost(
+    cost = op_cost(
         flops=2 * m * n,
         bytes_read=m * n * w + (m + n) * w,
         bytes_written=m * n * w,
@@ -440,7 +445,7 @@ def gemm(
             c.data[...] = alpha_t * (av @ bv) + beta_t * c.data
 
     extra_read = am * bn * w if beta != 0.0 else 0
-    cost = OpCost(
+    cost = op_cost(
         flops=2 * am * ak * bn,
         bytes_read=(am * ak + ak * bn) * w + extra_read,
         bytes_written=am * bn * w,
@@ -462,7 +467,7 @@ def fill(x: DeviceArray, value: float) -> None:
     dev.launch(
         "blas.fill",
         lambda: x.data.fill(dtype.type(value)),
-        OpCost(bytes_written=n * w, threads=max(1, n)),
+        op_cost(bytes_written=n * w, threads=max(1, n)),
         dtype=dtype,
         fusable=True,
         writes=(x,),
@@ -482,7 +487,7 @@ def gather(src: DeviceArray, indices: np.ndarray, out: DeviceArray) -> None:
     def body() -> None:
         out.data[:] = src.data[idx]
 
-    cost = OpCost(
+    cost = op_cost(
         bytes_read=n * w + n * 4,
         bytes_written=n * w,
         threads=max(1, n),

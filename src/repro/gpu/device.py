@@ -16,7 +16,7 @@ backing store, so results are exact while time is modeled.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from repro.perfmodel.presets import GTX280_PARAMS
 MAX_GRID = 65535 * 65535
 
 
-@dataclasses.dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     """One entry of the optional device timeline (see
     :meth:`Device.record_timeline`).
 
@@ -51,6 +50,11 @@ class TimelineEvent:
     events with *overlapping* starts, which the Chrome exporter honors.
     ``None`` (legacy events) means "unknown": consumers fall back to a
     cumulative sum.
+
+    A named tuple rather than a frozen dataclass: a serving device records
+    one event per launch and transfer, and a tuple is built several times
+    faster.  It is just as immutable (assigning a field raises
+    ``AttributeError``).
     """
 
     kind: str
@@ -191,10 +195,12 @@ class Device:
         #: set, :meth:`launch` records instead of executing; see
         #: :mod:`repro.gpu.plan`.
         self._capture: list[CapturedLaunch] | None = None
-        #: ``(threads, block)`` pairs that passed launch validation; only
-        #: successes are kept, so an invalid configuration raises on every
-        #: launch.  Bounded like the cost-model memo.
-        self._valid_launches: set[tuple[int, int]] = set()
+        #: Launch memo, ``(cost, dtype, block) -> modeled seconds``.  An
+        #: entry is added only after the launch configuration passed
+        #: validation, so an invalid configuration raises on every launch;
+        #: a hit skips both the validation and the cost model.  Bounded
+        #: like the cost-model memo.
+        self._launch_memo: dict[tuple, float] = {}
 
     def record_timeline(self, enable: bool = True) -> None:
         """Start (or stop) recording every kernel launch and transfer as a
@@ -306,9 +312,10 @@ class Device:
         shared operands' global-memory traffic once.  All three are ignored
         outside a plan capture.
         """
-        shape = (cost.threads, block)
-        if shape not in self._valid_launches:
-            self._validate_launch(*shape)
+        key = (cost, dtype, block)
+        seconds = self._launch_memo.get(key)
+        if seconds is None:
+            seconds = self._memoize_launch(key)
         if self._capture is not None:
             operand_bytes = {
                 id(a): int(a.nbytes) for a in (*reads, *writes)
@@ -324,28 +331,41 @@ class Device:
             )
             return
         body()
-        seconds = self.model.kernel_time(cost, dtype, block)
         self.clock += seconds
-        self.stats.record_kernel(name, seconds, cost)
+        # DeviceStats.record_kernel, inlined: this runs on every launch.
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.kernel_seconds += seconds
+        rec = stats.by_kernel.get(name)
+        if rec is None:
+            rec = stats.by_kernel[name] = KernelRecord()
+        rec.launches += 1
+        rec.seconds += seconds
+        rec.flops += cost.flops
+        nbytes = cost.bytes_total
+        rec.bytes += nbytes
         _metrics.record_kernel_launch(name, seconds, cost, self.model, block)
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
-                    "kernel", name, seconds,
-                    threads=cost.threads, nbytes=int(cost.bytes_total),
-                    start=self.clock - seconds,
+                    "kernel", name, seconds, cost.threads, int(nbytes),
+                    self.clock - seconds,
                 )
             )
 
-    def _validate_launch(self, threads: int, block: int) -> None:
-        """Check one launch configuration against the device limits and
-        remember it once it passes."""
-        cfg = launch_config(threads, block, self.params)
+    def _memoize_launch(self, key: tuple) -> float:
+        """Launch-memo miss: validate the configuration, then price the
+        launch and remember it.  A configuration that fails validation
+        raises and is never stored."""
+        cost, dtype, block = key
+        cfg = launch_config(cost.threads, block, self.params)
         if cfg.grid > MAX_GRID:
             raise InvalidLaunchError(f"grid of {cfg.grid} blocks exceeds device limits")
-        if len(self._valid_launches) >= MEMO_CAP:
-            self._valid_launches.clear()
-        self._valid_launches.add((threads, block))
+        seconds = self.model.kernel_time(cost, dtype, block)
+        if len(self._launch_memo) >= MEMO_CAP:
+            self._launch_memo.clear()
+        self._launch_memo[key] = seconds
+        return seconds
 
     # ------------------------------------------------------------------
     # plan capture (driven by repro.gpu.plan)
@@ -393,8 +413,8 @@ class Device:
         if self.timeline is not None:
             self.timeline.append(
                 TimelineEvent(
-                    direction, "transfer", seconds, nbytes=nbytes,
-                    start=self.clock - seconds,
+                    direction, "transfer", seconds, 0, nbytes,
+                    self.clock - seconds,
                 )
             )
         return seconds

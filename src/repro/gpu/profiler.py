@@ -152,12 +152,16 @@ def profile(device: Device) -> Iterator[Profile]:
         # written, making profiled and unprofiled runs diverge.
         start = device.clock
         result = original_launch(name, body, cost, **kwargs)
-        prof._record(
-            TimelineEvent(
-                name=name, start=start, duration=device.clock - start,
-                kind="kernel", flops=cost.flops, bytes=cost.bytes_total,
+        # Inside a plan capture the launch is only recorded; it executes
+        # (fused or alone) when the section is lowered, through this
+        # wrapper again, and is profiled then.
+        if device._capture is None:
+            prof._record(
+                TimelineEvent(
+                    name=name, start=start, duration=device.clock - start,
+                    kind="kernel", flops=cost.flops, bytes=cost.bytes_total,
+                )
             )
-        )
         return result
 
     def record_transfer(direction: str, nbytes: int) -> float:

@@ -20,11 +20,12 @@ from repro.gpu._checks import (
     require_float_dtype,
     require_same_device,
     require_vector,
+    shared_float_dtype,
 )
 from repro.gpu.device import Device
 from repro.gpu.kernel import DEFAULT_BLOCK
 from repro.gpu.memory import DeviceArray
-from repro.perfmodel.ops import OpCost
+from repro.perfmodel.ops import OpCost, op_cost
 
 #: Sentinel returned by arg-reductions over an empty candidate set.
 NO_INDEX = -1
@@ -45,7 +46,7 @@ def first_pass_cost(
     """
     width = itemsize * (2 if pair else 1)
     out = -(-n // (2 * DEFAULT_BLOCK))
-    return OpCost(
+    return op_cost(
         flops=flops_per_elem * n,
         bytes_read=n * width,
         bytes_written=out * width,
@@ -80,7 +81,7 @@ def _charge_tree(
             dev.launch(
                 name,
                 lambda: None,
-                OpCost(
+                op_cost(
                     flops=flops_per_elem * remaining,
                     bytes_read=remaining * width,
                     bytes_written=out * width,
@@ -95,10 +96,14 @@ def _charge_tree(
 
 
 def _prep(x: DeviceArray) -> tuple[Device, np.dtype, int]:
-    require_device_array("x", x)
-    require_float_dtype("x", x)
-    require_vector("x", x)
-    return x.device, x.dtype, x.dtype.itemsize
+    """Validate the operand; returns (device, dtype, itemsize).  Same
+    fast path as :func:`repro.gpu.blas._prep`."""
+    dtype = shared_float_dtype((x,))
+    if dtype is None or x.ndim != 1:
+        require_device_array("x", x)
+        dtype = require_float_dtype("x", x)
+        require_vector("x", x)
+    return x.device, dtype, dtype.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +258,7 @@ def inclusive_scan(x: DeviceArray, out: DeviceArray) -> None:
         dev.launch(
             phase,
             body if phase == "reduce.scan_down" else (lambda: None),
-            OpCost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n // 2)),
+            op_cost(flops=n, bytes_read=n * w, bytes_written=n * w, threads=max(1, n // 2)),
             dtype=dtype,
         )
 
@@ -272,14 +277,14 @@ def compact_indices(mask: DeviceArray) -> np.ndarray:
         dev.launch(
             phase,
             lambda: None,
-            OpCost(flops=n, bytes_read=n * w, bytes_written=n * 4, threads=max(1, n // 2)),
+            op_cost(flops=n, bytes_read=n * w, bytes_written=n * 4, threads=max(1, n // 2)),
             dtype=dtype,
         )
     # scatter pass
     dev.launch(
         "reduce.scatter",
         lambda: None,
-        OpCost(
+        op_cost(
             bytes_read=n * 4,
             bytes_written=max(1, hits.size) * 8,
             threads=max(1, n),

@@ -10,19 +10,23 @@ into seconds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
-#: Entry cap of the cost models' per-instance memos (``kernel_time``,
-#: ``op_time``).  A full memo is emptied and refilled, so it never holds
-#: more than this many entries.  Memoization is exact: the models are pure
-#: functions of ``(OpCost, dtype[, block])`` and their frozen parameters,
-#: and equal keys (``OpCost(flops=10)`` and ``OpCost(flops=10.0)``, say)
-#: hold numerically equal fields, which the models' float arithmetic turns
-#: into the same seconds.  A PDHG solve needs under 20 keys and a serve
-#: replay's long-lived devices under 200; a sparse simplex solve at 300x450
-#: needs about a thousand, so its memo is emptied a few times per solve.
-#: The cap bounds the memo's memory (about 0.45 kB per entry, counting the
-#: key's ``OpCost``): at 1024 entries the sparse-simplex pass's peak RSS
-#: rose by about 1 MB, at 256 by about 0.15 MB.
+#: Entry cap of the memos of modeled seconds (``CpuCostModel.op_time``'s,
+#: per instance, and each ``Device``'s launch memo over
+#: ``GpuCostModel.kernel_time``) and of :func:`op_cost`'s interning cache.
+#: A full memo is emptied and refilled (the interning cache evicts its
+#: least recently used entry instead), so none holds more than this many
+#: entries.  Memoization is exact: the models are pure functions of
+#: ``(OpCost, dtype[, block])`` and their frozen parameters, and equal keys
+#: (``OpCost(flops=10)`` and ``OpCost(flops=10.0)``, say) hold numerically
+#: equal fields, which the models' float arithmetic turns into the same
+#: seconds.  A PDHG solve needs under 20 keys and a serve replay's
+#: long-lived devices under 200; a sparse simplex solve at 300x450 needs
+#: about a thousand, so its memo is emptied a few times per solve.  The cap
+#: bounds the memo's memory (about 0.45 kB per entry, counting the key's
+#: ``OpCost``): at 1024 entries the sparse-simplex pass's peak RSS rose by
+#: about 1 MB, at 256 by about 0.15 MB.
 MEMO_CAP = 256
 
 
@@ -67,6 +71,15 @@ class OpCost:
             raise ValueError("coalesced_fraction must lie in [0, 1]")
         if not 0.0 <= self.divergent_fraction <= 1.0:
             raise ValueError("divergent_fraction must lie in [0, 1]")
+        # Costs key the cost-model and launch memos, so the hash is
+        # computed once here rather than on every lookup.
+        object.__setattr__(self, "_hash", hash((
+            self.flops, self.bytes_read, self.bytes_written, self.threads,
+            self.coalesced_fraction, self.divergent_fraction,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def bytes_total(self) -> float:
@@ -140,3 +153,30 @@ class OpCost:
 
 
 ZERO_COST = OpCost()
+
+
+@functools.lru_cache(maxsize=MEMO_CAP, typed=True)
+def op_cost(
+    flops: float = 0.0,
+    bytes_read: float = 0.0,
+    bytes_written: float = 0.0,
+    threads: int = 1,
+    coalesced_fraction: float = 1.0,
+    divergent_fraction: float = 0.0,
+) -> OpCost:
+    """``OpCost(...)``, interned: equal arguments of equal types return the
+    same object.
+
+    The device kernel modules call this on every launch.  A kernel of one
+    shape costs the same on every call, so the second call returns the
+    first call's object: no dataclass construction, and the launch memo's
+    dict lookup matches it by identity, never calling ``OpCost.__eq__``.
+    ``typed=True`` keeps ``op_cost(flops=10)`` and ``op_cost(flops=10.0)``
+    apart, so each call gets fields of exactly the types it passed, as
+    ``OpCost(...)`` would.  Invalid arguments raise on every call (errors
+    are not cached).  Bounded by :data:`MEMO_CAP`.
+    """
+    return OpCost(
+        flops, bytes_read, bytes_written, threads,
+        coalesced_fraction, divergent_fraction,
+    )

@@ -111,3 +111,36 @@ def frozen_segment_sums(data, indptr) -> np.ndarray:
     )
     lengths = np.diff(indptr)
     return np.asarray(np.where(lengths > 0, out, 0.0), dtype=np.float64)
+
+
+def frozen_blas_prep(*arrays):
+    """The operand checks ``repro.gpu.blas._prep`` ran before its one-pass
+    fast path, kept verbatim as the error-parity reference."""
+    from repro.gpu._checks import (
+        require_device_array,
+        require_float_dtype,
+        require_same_device,
+        require_same_dtype,
+    )
+
+    for i, a in enumerate(arrays):
+        require_device_array(f"arg{i}", a)
+        require_float_dtype(f"arg{i}", a)
+    require_same_device(*arrays)
+    dtype = require_same_dtype(*arrays)
+    return arrays[0].device, dtype, np.dtype(dtype).itemsize
+
+
+def frozen_reduce_prep(x):
+    """The operand checks ``repro.gpu.reduce._prep`` ran before its
+    one-pass fast path, kept verbatim as the error-parity reference."""
+    from repro.gpu._checks import (
+        require_device_array,
+        require_float_dtype,
+        require_vector,
+    )
+
+    require_device_array("x", x)
+    require_float_dtype("x", x)
+    require_vector("x", x)
+    return x.device, x.dtype, x.dtype.itemsize

@@ -167,13 +167,21 @@ class TestClockAndLaunch:
 
 
 class TestLaunchValidationAfterCaching:
-    """Only successful launch configurations are remembered: after many
-    valid launches of one shape, an invalid one still raises."""
+    """Only successful launches enter the device's launch memo: after many
+    valid launches, with the memo holding entries, an invalid one still
+    raises, every time, and is never stored."""
 
     @staticmethod
     def _warm(device, n=50):
-        for _ in range(n):
-            device.launch("k", lambda: None, OpCost(flops=1, threads=10), block=256)
+        for i in range(n):
+            device.launch(
+                "k", lambda: None, OpCost(flops=i % 5, threads=10), block=256
+            )
+        assert len(device._launch_memo) == 5
+
+    @staticmethod
+    def _stored_costs(device) -> set:
+        return {cost for cost, _, _ in device._launch_memo}
 
     @staticmethod
     def _zero_threads() -> OpCost:
@@ -187,12 +195,14 @@ class TestLaunchValidationAfterCaching:
         for _ in range(2):
             with pytest.raises(InvalidLaunchError):
                 device.launch("k", lambda: None, OpCost(threads=10), block=limit + 1)
+        assert all(block <= limit for _, _, block in device._launch_memo)
 
     def test_zero_threads_still_raises(self, device):
         self._warm(device)
         for _ in range(2):
             with pytest.raises(InvalidLaunchError):
                 device.launch("k", lambda: None, self._zero_threads(), block=256)
+        assert all(cost.threads >= 1 for cost in self._stored_costs(device))
 
     def test_invalid_launch_inside_capture_still_raises(self, device):
         from repro.gpu.plan import LaunchPlan
@@ -203,6 +213,7 @@ class TestLaunchValidationAfterCaching:
                 device.launch(
                     "k", lambda: None, OpCost(flops=1, threads=10), fusable=True
                 )
+        assert device._launch_memo  # the captured launches were memoized
         limit = device.params.max_threads_per_block
         for bad in 2 * (
             dict(cost=OpCost(threads=10), block=limit + 1),
@@ -214,6 +225,10 @@ class TestLaunchValidationAfterCaching:
                     device.launch("k", lambda: None, bad["cost"], block=bad["block"])
             assert device._capture is None  # the failed section's capture is gone
             assert device.stats.kernel_launches == launches
+        assert all(
+            cost.threads >= 1 and block <= limit
+            for cost, _, block in device._launch_memo
+        )
 
 
 class TestTransferAccounting:

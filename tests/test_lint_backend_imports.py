@@ -210,3 +210,34 @@ def test_seam_rule_covers_the_pdhg_loop():
     for p in lint.SEAM_MODULES:
         assert (lint.REPO / p).exists(), p
         assert lint.check_seam(lint.REPO / p) == []
+
+
+def test_cost_rule_flags_bare_opcost_calls(tmp_path):
+    mod = tmp_path / "kernels.py"
+    mod.write_text(
+        textwrap.dedent(
+            """
+            from repro.perfmodel import ops
+            from repro.perfmodel.ops import OpCost, op_cost
+
+            def k(dev, n):
+                dev.launch("a", None, op_cost(flops=n, threads=n))
+                dev.launch("b", None, OpCost.fuse(op_cost(), op_cost()))
+                dev.launch("c", None, OpCost(flops=n))
+                dev.launch("d", None, ops.OpCost(threads=n))
+            """
+        )
+    )
+    violations = lint.check_costs(mod)
+    assert [v.split(":")[1] for v in violations] == ["8", "9"]
+    assert all("op_cost" in v for v in violations)
+
+
+def test_cost_rule_covers_the_kernel_modules():
+    assert set(lint.COST_MODULES) == {
+        "src/repro/gpu/blas.py",
+        "src/repro/core/gpu_kernels.py",
+        "src/repro/gpu/reduce.py",
+    }
+    for filename in lint.COST_MODULES:
+        assert lint.check_costs(lint.REPO / filename) == []

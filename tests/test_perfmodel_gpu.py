@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.device import Device
 from repro.perfmodel.gpu_model import GpuCostModel, GpuModelParams
 from repro.perfmodel.ops import OpCost
 from repro.perfmodel.presets import (
@@ -188,7 +189,7 @@ def test_compute_time_scales_linearly_at_fixed_width(scale, flops):
 
 
 # ---------------------------------------------------------------------------
-# kernel_time memo: exact, keyed on equal values, bounded
+# the launch memo over kernel_time: exact, keyed on equal values, bounded
 # ---------------------------------------------------------------------------
 
 _DTYPES = [np.float32, np.float64, "float32", np.dtype("float64"), np.dtype("f4")]
@@ -213,6 +214,13 @@ def op_costs(draw):
     )
 
 
+def _launched_seconds(dev: Device, cost: OpCost, dtype, block: int) -> float:
+    """Launch a no-op kernel and return the seconds the device charged it,
+    read back from its launch memo."""
+    dev.launch("k", lambda: None, cost, dtype=dtype, block=block)
+    return dev._launch_memo[cost, dtype, block]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     costs=st.lists(op_costs(), min_size=1, max_size=6),
@@ -220,32 +228,37 @@ def op_costs(draw):
     block=st.sampled_from([16, 32, 100, 256, 512]),
 )
 def test_kernel_time_memo_equals_fresh_model(costs, dtype, block):
-    memo = GpuCostModel(GTX280_PARAMS)
+    dev = Device(GTX280_PARAMS)
     for _ in range(2):
         for cost in costs:
             twin = dataclasses.replace(
                 cost, flops=float(cost.flops), bytes_read=int(cost.bytes_read)
             )
             fresh = GpuCostModel(GTX280_PARAMS).kernel_time(cost, dtype, block)
-            assert memo.kernel_time(cost, dtype, block).hex() == fresh.hex()
-            assert memo.kernel_time(twin, np.dtype(dtype), block).hex() == fresh.hex()
+            assert _launched_seconds(dev, cost, dtype, block).hex() == fresh.hex()
+            got = _launched_seconds(dev, twin, np.dtype(dtype), block)
+            assert got.hex() == fresh.hex()
 
 
-def test_kernel_time_equal_keys_share_one_entry(model):
-    a = model.kernel_time(OpCost(flops=10, threads=64), np.float32, 256)
-    b = model.kernel_time(OpCost(flops=10.0, threads=64), np.dtype("float32"), 256)
+def test_launch_memo_equal_keys_share_one_entry():
+    dev = Device(GTX280_PARAMS)
+    f32 = np.dtype("float32")
+    a = _launched_seconds(dev, OpCost(flops=10, threads=64), f32, 256)
+    b = _launched_seconds(dev, OpCost(flops=10.0, threads=64), f32, 256)
     assert a.hex() == b.hex()
-    assert len(model._memo) == 1
+    assert len(dev._launch_memo) == 1
 
 
-def test_kernel_time_memo_is_bounded(model, monkeypatch):
-    import repro.perfmodel.gpu_model as gpu_model
+def test_launch_memo_is_bounded(monkeypatch):
+    import repro.gpu.device as device_mod
 
-    monkeypatch.setattr(gpu_model, "MEMO_CAP", 8)
+    monkeypatch.setattr(device_mod, "MEMO_CAP", 8)
+    dev = Device(GTX280_PARAMS)
     for i in range(50):
         fresh = GpuCostModel(GTX280_PARAMS).kernel_time(OpCost(flops=i))
-        assert model.kernel_time(OpCost(flops=i)) == fresh
-        assert len(model._memo) <= 8
+        assert _launched_seconds(dev, OpCost(flops=i), np.float32, 256) == fresh
+        assert len(dev._launch_memo) <= 8
+    assert dev.stats.kernel_launches == 50
 
 
 def test_params_are_fixed_for_the_memo(model):

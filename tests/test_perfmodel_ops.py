@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.perfmodel.ops import OpCost, ZERO_COST
+from repro.perfmodel.gpu_model import GpuCostModel
+from repro.perfmodel.ops import MEMO_CAP, OpCost, ZERO_COST, op_cost
+from repro.perfmodel.presets import GTX280_PARAMS
 
 
 class TestValidation:
@@ -122,3 +124,61 @@ def test_scaling_is_linear(flops, br, bw, k):
     s = c.scaled(k)
     assert s.flops == pytest.approx(flops * k)
     assert s.bytes_total == pytest.approx((br + bw) * k)
+
+
+# Either type a caller may pass for each field: op_cost interns per type.
+_number = st.one_of(st.integers(0, 10**9), st.floats(0, 1e12))
+_fraction = st.one_of(st.just(1), st.just(0), st.floats(0, 1))
+
+
+@given(
+    fields=st.fixed_dictionaries(
+        {},
+        optional={
+            "flops": _number,
+            "bytes_read": _number,
+            "bytes_written": _number,
+            "threads": st.integers(1, 10**7),
+            "coalesced_fraction": _fraction,
+            "divergent_fraction": _fraction,
+        },
+    ),
+    dtype=st.sampled_from(["float32", "float64"]),
+    block=st.sampled_from([64, 128, 256, 512]),
+)
+def test_op_cost_interns_an_equal_cost(fields, dtype, block):
+    """``op_cost(**f)`` is ``OpCost(**f)``: equal, same hash, fields of the
+    same types, and the same modeled seconds bit for bit from a fresh
+    model; a second call returns the very same object."""
+    interned = op_cost(**fields)
+    fresh = OpCost(**fields)
+    assert interned == fresh
+    assert hash(interned) == hash(fresh)
+    for f in dataclasses.fields(OpCost):
+        assert type(getattr(interned, f.name)) is type(getattr(fresh, f.name))
+    assert op_cost(**fields) is interned
+    want = GpuCostModel(GTX280_PARAMS).kernel_time(fresh, dtype, block)
+    got = GpuCostModel(GTX280_PARAMS).kernel_time(interned, dtype, block)
+    assert got.hex() == want.hex()
+
+
+class TestInterning:
+    def test_int_and_float_fields_stay_apart(self):
+        a, b = op_cost(flops=10), op_cost(flops=10.0)
+        assert a == b and a is not b
+        assert type(a.flops) is int and type(b.flops) is float
+
+    def test_invalid_arguments_raise_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                op_cost(threads=0)
+
+    def test_cache_is_bounded(self):
+        for i in range(MEMO_CAP + 10):
+            op_cost(flops=float(i), threads=7)
+        assert op_cost.cache_info().currsize <= MEMO_CAP
+
+    def test_hash_is_the_field_tuple_hash(self):
+        c = OpCost(flops=3, bytes_read=8.0, threads=4)
+        assert hash(c) == hash((3, 8.0, 0.0, 4, 1.0, 0.0))
+        assert hash(c.scaled(2.0)) == hash(OpCost(flops=6.0, bytes_read=16.0, threads=4))

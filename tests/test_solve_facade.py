@@ -201,3 +201,22 @@ class TestResultHelpers:
 
         merged = merge_kernel_breakdowns({"a": 1.0}, {"a": 2.0, "b": 3.0})
         assert merged == {"a": 3.0, "b": 3.0}
+
+
+@pytest.mark.parametrize("method", sorted(available_methods()))
+def test_solve_leaves_no_reference_cycles(method, textbook_lp):
+    """A finished solve frees its solver, standard form and basis by
+    reference counting alone.  A cycle through the solver would keep
+    those arrays alive until the cyclic collector runs, so peak memory
+    would depend on its cadence (and so on how many other objects the
+    process allocates) instead of on the problem."""
+    import gc
+
+    solve(textbook_lp, method=method)  # lazy imports and first-call caches
+    gc.collect()
+    gc.disable()
+    try:
+        solve(textbook_lp, method=method)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -15,9 +15,10 @@ the side that goes first alternates from pair to pair so slow drift of the
 host does not favour either side.  For every end-to-end metric of
 ``BENCHMARK.json`` the report gives each side's median and quartiles, the
 change's relative median difference and the number of pairs the change
-won; then every run's ``correct``/``failed`` and both sides' modeled
-digests (a host-only change must leave the digest alone).  Each run
-uses ``perfbench/run.py``'s own run length.
+won, and one verdict (see :func:`verdict`); then every run's
+``correct``/``failed`` and both sides' modeled digests (a host-only
+change must leave the digest alone).  Each run uses
+``perfbench/run.py``'s own run length.
 """
 
 from __future__ import annotations
@@ -92,6 +93,44 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def verdict(
+    parent: list[float], change: list[float], *, lower: bool,
+    bound: "float | None",
+) -> str:
+    """One verdict for one metric over paired runs (``parent[i]`` and
+    ``change[i]`` ran as pair ``i``), checked in this order:
+
+    - ``gain``: the change is better in at least 9/10 of the pairs (ties
+      count for neither side) and its median is better than the parent's
+      by more than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` (relative to the parent's median);
+    - ``unresolved``: the parent's own spread, IQR / median, exceeds
+      ``bound``, so a difference within the bound cannot be told from
+      noise, unless every change run is better than every parent run;
+    - ``no worse``: everything else.
+
+    Without a ``bound`` only ``gain`` and ``no worse`` can be given.
+    """
+    def better(a: float, b: float) -> bool:
+        return a < b if lower else a > b
+
+    wins = sum(better(c, p) for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    _, cm, _ = quartiles(change)
+    margin = pm - cm if lower else cm - pm  # > 0: the change is better
+    if 10 * wins >= 9 * len(change) and margin > p3 - p1:
+        return "gain"
+    if bound is None or not pm:
+        return "no worse"
+    if -margin / abs(pm) > bound:
+        return "worse"
+    best_parent = min(parent) if lower else max(parent)
+    if (p3 - p1) / abs(pm) > bound and not all(better(c, best_parent) for c in change):
+        return "unresolved"
+    return "no worse"
+
+
 def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     lines = []
     pairs = len(runs["change"])
@@ -110,6 +149,7 @@ def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
             f"change median {cm:.6g} (q1 {c1:.6g}, q3 {c3:.6g}, IQR {c3 - c1:.3g}) | "
             f"{100 * rel:+.1f}% | change better in {wins}/{pairs} pairs"
             + (f" | bound {100 * spec['bound']:.0f}%" if "bound" in spec else "")
+            + f" | verdict: {verdict(parent, change, lower=lower, bound=spec.get('bound'))}"
         )
     for side in ("parent", "change"):
         digests = sorted({str(r["digest"]) for r in runs[side]})

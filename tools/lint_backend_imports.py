@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: architectural import rules, enforced as CI failures.
 
-Four rules, one mechanism (an AST walk over the module trees):
+Five rules, one mechanism (an AST walk over the module trees):
 
 **Backend rule.**  Solver backend modules must not import ``repro.trace``,
 ``repro.metrics`` or ``repro.obs`` at all.  The engine's observer layer
@@ -38,6 +38,14 @@ imported there is ``repro.metrics``.  Use
 device executor and may import neither ``repro.gpu`` nor
 ``repro.perfmodel``: device kernels and cost-model charges belong to the
 executors in ``firstorder/gpu.py`` and ``firstorder/cpu.py``.
+
+**Cost rule.**  The device kernel modules that launch on every pivot
+(``src/repro/gpu/blas.py``, ``src/repro/core/gpu_kernels.py`` and
+``src/repro/gpu/reduce.py``) build launch costs only through the interning
+:func:`repro.perfmodel.ops.op_cost`, never by calling ``OpCost(...)``.  A
+fresh ``OpCost`` per launch costs a dataclass construction, and the launch
+memo then matches it by ``OpCost.__eq__`` instead of by identity, which is
+the per-launch overhead the interned costs remove.
 
 Both ``import X`` and ``from X import ...`` forms are rejected, at any
 nesting depth (the AST walk sees function-local imports too).  Exit
@@ -77,6 +85,14 @@ GPU_BACKENDS = (
 #: Executor-neutral method loops and the machine layers they may not import.
 SEAM_MODULES = ("src/repro/firstorder/pdhg.py",)
 SEAM_FORBIDDEN = ("repro.gpu", "repro.perfmodel")
+
+#: Device kernel modules whose launch costs come from the interning
+#: ``op_cost``; a bare ``OpCost(...)`` call there is a violation.
+COST_MODULES = (
+    "src/repro/gpu/blas.py",
+    "src/repro/core/gpu_kernels.py",
+    "src/repro/gpu/reduce.py",
+)
 
 #: The one metrics module serve code may import from.
 SERVE_ALLOWED = "repro.metrics.instrument"
@@ -166,6 +182,30 @@ def check_launches(path: Path) -> list[str]:
     return violations
 
 
+def check_costs(path: Path) -> list[str]:
+    """Return one violation per ``OpCost(...)`` construction in ``path``
+    (``OpCost.fuse`` and other attribute calls are fine)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    shown = _shown(path)
+    violations = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = (
+            func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute)
+            else None
+        )
+        if called == "OpCost":
+            violations.append(
+                f"{shown}:{node.lineno}: kernel module constructs OpCost "
+                "per launch (build launch costs with "
+                "repro.perfmodel.ops.op_cost)"
+            )
+    return violations
+
+
 def run() -> list[str]:
     violations: list[str] = []
     for dirname in BACKEND_DIRS:
@@ -178,6 +218,8 @@ def run() -> list[str]:
         violations.extend(check_launches(REPO / filename))
     for filename in SEAM_MODULES:
         violations.extend(check_seam(REPO / filename))
+    for filename in COST_MODULES:
+        violations.extend(check_costs(REPO / filename))
     return violations
 
 
